@@ -13,7 +13,9 @@ use std::time::Duration;
 
 use globe_bench::{fmt_bytes, Table};
 use globe_coherence::StoreClass;
-use globe_core::{BindOptions, GlobeSim, ObjectSpec, OutdateReaction, ReplicationPolicy};
+use globe_core::{
+    BindOptions, GlobeRuntime, GlobeSim, ObjectSpec, OutdateReaction, ReplicationPolicy,
+};
 use globe_net::{LinkConfig, Topology};
 use globe_web::{methods, WebSemantics};
 

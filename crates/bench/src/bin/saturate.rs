@@ -16,9 +16,10 @@
 //! saturation point.
 //!
 //! Emits `BENCH_saturate.json` (override with `--out`); `--smoke` or
-//! `BENCH_SMOKE=1` selects the reduced CI configuration. CI checks the
-//! headline claim: shard throughput scales at least 2x from 1 to 4
-//! writers.
+//! `BENCH_SMOKE=1` selects the reduced CI configuration. The sweep rows
+//! report the generator's offered rate wherever the backend keeps up,
+//! so nothing is asserted on them; CI asserts only on the group-commit
+//! and lease legs, which saturate.
 
 use std::time::Duration;
 
@@ -358,7 +359,6 @@ fn main() {
         ],
     );
     let mut backends = Vec::new();
-    let mut shard_speedup_1_to_4 = 0.0f64;
     for backend in ["sim", "tcp", "shard"] {
         let mut baseline: Option<f64> = None;
         let mut rows = Vec::new();
@@ -385,9 +385,6 @@ fn main() {
                 }
                 Some(base) => ops / base.max(f64::EPSILON),
             };
-            if backend == "shard" && writers == 4 {
-                shard_speedup_1_to_4 = speedup;
-            }
             let lat = &report.write_latency;
             table.row(vec![
                 backend.to_string(),
@@ -535,15 +532,6 @@ fn main() {
         "read lease speedup (leased vs forwarded): {}",
         fmt_f64(leased_speedup)
     );
-    println!(
-        "shard speedup 1 -> 4 writers: {} ({})",
-        fmt_f64(shard_speedup_1_to_4),
-        if shard_speedup_1_to_4 >= 2.0 {
-            "meets the >= 2x scaling claim"
-        } else {
-            "BELOW the >= 2x scaling claim"
-        }
-    );
 
     let doc = Json::obj([
         ("bench", Json::str("saturate")),
@@ -552,8 +540,6 @@ fn main() {
         ("cores", Json::Int(cores as i64)),
         ("shard_gap_us", Json::Num(SHARD_GAP.as_secs_f64() * 1e6)),
         ("tcp_gap_us", Json::Num(TCP_GAP.as_secs_f64() * 1e6)),
-        ("shard_speedup_1_to_4", Json::Num(shard_speedup_1_to_4)),
-        ("shard_scaling_ok", Json::Bool(shard_speedup_1_to_4 >= 2.0)),
         ("backends", Json::Array(backends)),
         (
             "group_commit",

@@ -137,7 +137,7 @@ impl AdaptiveController {
 
     /// Re-evaluates the regime. Returns the policy to install when a
     /// switch is warranted, `None` otherwise. The caller applies it with
-    /// [`crate::GlobeSim::set_policy`] (or the TCP runtime's equivalent).
+    /// [`crate::GlobeRuntime::set_policy`], on any backend.
     pub fn evaluate(&mut self, now: SimTime) -> Option<ReplicationPolicy> {
         let rate = self.rate(now);
         let next = match self.regime {

@@ -68,7 +68,9 @@ mod adaptive;
 mod api;
 mod comm;
 mod control;
+mod driver;
 mod error;
+mod fabric;
 mod ids;
 mod invocation;
 pub mod lifecycle;
@@ -78,14 +80,14 @@ mod metrics;
 mod plan;
 mod policy;
 pub mod replication;
-mod runtime;
 mod semantics;
 mod session;
-mod shard_runtime;
+mod shard_fabric;
+mod sim_fabric;
 mod space;
 pub mod storage;
 mod store_engine;
-mod tcp_runtime;
+mod tcp_fabric;
 pub mod trace;
 
 pub use adaptive::{AdaptiveController, Regime};
@@ -94,7 +96,9 @@ pub use api::{
 };
 pub use comm::CommObject;
 pub use control::ControlObject;
+pub use driver::{BindOptions, ClientHandle, Driver, ReadChoice, RuntimeError, WriteChoice};
 pub use error::{CallError, PolicyError, SemanticsError};
+pub use fabric::{Fabric, Plane};
 pub use ids::{MethodId, RequestId};
 pub use invocation::{InvocationMessage, MethodKind};
 pub use lifecycle::{LifecycleEvent, LifecycleEventKind, MemberInfo, MembershipView, StoreHealth};
@@ -107,10 +111,10 @@ pub use policy::{
     AccessTransfer, CoherenceTransfer, OutdateReaction, PolicyBuilder, Propagation,
     ReplicationPolicy, StoreScope, TransferInitiative, TransferInstant, WriteSet,
 };
-pub use runtime::{BindOptions, ClientHandle, GlobeSim, ReadChoice, RuntimeError, WriteChoice};
 pub use semantics::{registers, RegisterDoc, Semantics};
 pub use session::{Session, SessionConfig};
-pub use shard_runtime::{GlobeShard, DEFAULT_SHARDS};
+pub use shard_fabric::{GlobeShard, ShardFabric, ShardPlane, DEFAULT_SHARDS};
+pub use sim_fabric::{GlobeSim, SimFabric};
 pub use space::AddressSpace;
 pub use storage::{
     CheckpointImage, DurableBackend, MemoryBackend, StorageSpec, StoreBackend, TempDir,
@@ -119,7 +123,7 @@ pub use store_engine::{
     PeerStore, StoreConfig, StoreReplica, StoreTuning, TimerKind, DEFAULT_BATCH_WINDOW,
     DEFAULT_LEASE_DURATION, WHOLE_DOC,
 };
-pub use tcp_runtime::GlobeTcp;
+pub use tcp_fabric::{GlobeTcp, TcpFabric, TcpPlane};
 pub use trace::{
     FlushReason, ProtocolCounters, ProtocolEvent, ReadSource, TraceChecker, TraceEvent,
     TraceSnapshot,

@@ -1,15 +1,14 @@
-//! Backend-independent planning for object creation and client binding.
+//! Backend-independent planning for object creation, client binding,
+//! and replica lifecycle.
 //!
-//! All three runtimes (`GlobeSim`, `GlobeTcp`, `GlobeShard`) implement
-//! the same creation and binding semantics: validate the policy and
-//! name, pick the home store, allocate store ids, wire the home store's
-//! peer list, resolve a client's read replica through the location
-//! service, route its writes, and filter subsumed session guards. This
-//! module holds that shared logic once, so a change to the semantics
-//! cannot land in one backend and silently diverge the others (the
-//! scenario matrix would catch it, but it should not have to). Each
-//! runtime supplies only the backend-specific steps: where replicas are
-//! installed and how their protocol machinery is started.
+//! Creation and binding mean the same thing on every backend: validate
+//! the policy and name, pick the home store, allocate store ids, wire
+//! the home store's peer list, resolve a client's read replica through
+//! the location service, route its writes, and filter subsumed session
+//! guards. This module holds those decisions as pure functions over the
+//! object record; [`crate::Driver`] calls them and carries the results
+//! out through its [`crate::Fabric`] — where replicas are installed and
+//! how their protocol machinery is started.
 
 use globe_coherence::{ClientId, ClientModel, ObjectModel, StoreClass, StoreId};
 use globe_naming::{ContactRecord, LocationService, NameSpace, ObjectId, ObjectName};
@@ -23,14 +22,14 @@ use crate::{
     StoreTuning, WireMember, WriteChoice,
 };
 
-/// What every backend records about one created object.
+/// What the driver records about one created object.
 pub(crate) struct ObjectRecord {
     pub(crate) policy: ReplicationPolicy,
     pub(crate) home_node: NodeId,
     pub(crate) home_store: StoreId,
     /// The election epoch of the recorded home: bumped by every
     /// driver-planned fail-over, and refreshed from the live replicas
-    /// (see [`sync_record`]) so driver decisions made after an
+    /// (see [`effective_home`]) so driver decisions made after an
     /// *unattended* election build on it instead of racing it.
     pub(crate) epoch: u64,
     pub(crate) stores: Vec<(NodeId, StoreId, StoreClass)>,
@@ -54,7 +53,7 @@ impl ObjectRecord {
 
 /// The live home of an object as the replicas themselves see it: driver
 /// records go stale when an unattended election moves the sequencer, so
-/// backends re-derive the home by probing each recorded replica for its
+/// the driver re-derives the home by probing each recorded replica for its
 /// `(is_home, epoch)` claim and following the highest epoch (ties to
 /// the lowest store id — the election rule).
 pub(crate) fn effective_home(
@@ -90,13 +89,15 @@ pub(crate) struct CreationPlan {
 
 /// Validates `name`, `policy`, and `placement`, registers the name, and
 /// allocates store ids. The first `Permanent` entry becomes the home
-/// (sequencing) store, as in the paper's Fig. 3.
+/// (sequencing) store, as in the paper's Fig. 3. `can_host` vets each
+/// placement node before anything is registered, so a refused creation
+/// leaves the name space and the store-id counter untouched.
 pub(crate) fn plan_creation(
     name: &str,
     policy: &ReplicationPolicy,
     placement: &[(NodeId, StoreClass)],
     names: &mut NameSpace,
-    node_exists: impl Fn(NodeId) -> bool,
+    can_host: impl Fn(NodeId) -> Result<(), RuntimeError>,
     next_store: &mut u32,
 ) -> Result<CreationPlan, RuntimeError> {
     policy
@@ -106,9 +107,7 @@ pub(crate) fn plan_creation(
         .parse()
         .map_err(|e: globe_naming::ParseNameError| RuntimeError::BadName(e.to_string()))?;
     for (node, _) in placement {
-        if !node_exists(*node) {
-            return Err(RuntimeError::UnknownNode(*node));
-        }
+        can_host(*node)?;
     }
     let home_index = placement
         .iter()
@@ -133,7 +132,7 @@ pub(crate) fn plan_creation(
 }
 
 impl CreationPlan {
-    /// Registers every replica's contact record, with the backend
+    /// Registers every replica's contact record, with the fabric
     /// deciding each node's region (region 0 everywhere except the
     /// simulator's topology).
     pub(crate) fn register_locations(
@@ -156,18 +155,13 @@ impl CreationPlan {
     /// Builds one [`StoreReplica`] per planned store — every replica
     /// carrying the full peer list, so any surviving permanent store
     /// can run the unattended election from its own copy of the
-    /// membership — and hands each to `install` for backend-specific
-    /// placement and protocol start-up.
-    #[allow(clippy::too_many_arguments)]
+    /// membership — and hands each to `install` for placement and
+    /// protocol start-up.
     pub(crate) fn build_replicas(
         &self,
         policy: &ReplicationPolicy,
         semantics_factory: &mut dyn FnMut() -> Box<dyn Semantics>,
-        history: &SharedHistory,
-        metrics: &SharedMetrics,
-        detector: DetectorConfig,
-        tuning: StoreTuning,
-        storage: &StorageSpec,
+        kit: &ReplicaKit,
         mut install: impl FnMut(NodeId, StoreReplica),
     ) {
         for (index, (node, store_id, class)) in self.stores.iter().enumerate() {
@@ -195,11 +189,11 @@ impl CreationPlan {
                     is_home,
                     peers,
                     semantics: semantics_factory(),
-                    history: history.clone(),
-                    metrics: metrics.clone(),
-                    detector,
-                    tuning,
-                    storage: storage.clone(),
+                    history: kit.history.clone(),
+                    metrics: kit.metrics.clone(),
+                    detector: kit.detector,
+                    tuning: kit.tuning,
+                    storage: kit.storage.clone(),
                 }),
             );
         }
@@ -217,13 +211,11 @@ impl CreationPlan {
     }
 }
 
-/// Everything shared handles need to build a non-home replica outside
-/// the creation path (dynamic add and crash-restart).
-pub(crate) struct ReplicaParts<'a> {
-    pub(crate) object: ObjectId,
-    pub(crate) semantics: Box<dyn Semantics>,
-    pub(crate) history: &'a SharedHistory,
-    pub(crate) metrics: &'a SharedMetrics,
+/// What every replica of one runtime is built with: the shared
+/// recorders and the tuning its [`crate::RuntimeConfig`] implies.
+pub(crate) struct ReplicaKit {
+    pub(crate) history: SharedHistory,
+    pub(crate) metrics: SharedMetrics,
     pub(crate) detector: DetectorConfig,
     pub(crate) tuning: StoreTuning,
     pub(crate) storage: StorageSpec,
@@ -233,7 +225,7 @@ pub(crate) struct ReplicaParts<'a> {
 /// permanent store was elected the new sequencer, the election epoch,
 /// and the full membership it must adopt. Produced by
 /// [`plan_remove_store`] / [`plan_restart_store`] when the store being
-/// removed or crash-restarted is the home; the backend then moves the
+/// removed or crash-restarted is the home; the driver then moves the
 /// write log (a graceful `SequencerHandoff` from the retiring home, or
 /// an `ElectRequest` telling the winner to promote from its own replica
 /// of the log) and reroutes client sessions.
@@ -254,7 +246,7 @@ impl FailoverPlan {
     /// The message that moves the sequencer to the winner: the retiring
     /// home's full hand-off when its store is still reachable, or an
     /// election request telling the winner to promote from its own
-    /// replica of the write log. One decision point for every backend,
+    /// replica of the write log. One decision point for every fabric,
     /// so the protocol cannot diverge per runtime.
     pub(crate) fn handoff_msg(&self, retiring: Option<&StoreReplica>) -> crate::CoherenceMsg {
         match retiring {
@@ -343,13 +335,15 @@ fn plan_failover(
 
 /// Validates a dynamic store installation against the object record,
 /// allocates its store id, records it, and builds the replica. The
-/// backend still installs it, starts its timers, and has it `join`.
+/// driver still installs it, starts its timers, and has it `join`.
 pub(crate) fn plan_add_store(
     record: &mut ObjectRecord,
     node: NodeId,
     class: StoreClass,
     next_store: &mut u32,
-    parts: ReplicaParts<'_>,
+    kit: &ReplicaKit,
+    object: ObjectId,
+    semantics: Box<dyn Semantics>,
 ) -> Result<(StoreId, StoreReplica), RuntimeError> {
     if record.stores.iter().any(|(n, _, _)| *n == node) {
         return Err(RuntimeError::BadPolicy(format!(
@@ -359,12 +353,12 @@ pub(crate) fn plan_add_store(
     let store_id = StoreId::new(*next_store);
     *next_store += 1;
     record.stores.push((node, store_id, class));
-    let replica = replica_for(record, store_id, class, parts);
+    let replica = replica_for(record, store_id, class, kit, object, semantics);
     Ok((store_id, replica))
 }
 
 /// Validates a crash-restart against the object record and builds the
-/// fresh replica (same store id, empty state). The backend swaps it in,
+/// fresh replica (same store id, empty state). The driver swaps it in,
 /// starts its timers, and has it `join` to receive the state transfer.
 ///
 /// Crash-restarting the *home* store triggers a fail-over: a surviving
@@ -376,7 +370,9 @@ pub(crate) fn plan_restart_store(
     record: &mut ObjectRecord,
     node: NodeId,
     view: Option<&MembershipView>,
-    parts: ReplicaParts<'_>,
+    kit: &ReplicaKit,
+    object: ObjectId,
+    semantics: Box<dyn Semantics>,
 ) -> Result<(StoreReplica, Option<FailoverPlan>), RuntimeError> {
     let (_, store_id, class) = *record
         .stores
@@ -388,39 +384,39 @@ pub(crate) fn plan_restart_store(
     } else {
         None
     };
-    Ok((replica_for(record, store_id, class, parts), failover))
+    let replica = replica_for(record, store_id, class, kit, object, semantics);
+    Ok((replica, failover))
 }
 
 /// Validates a graceful removal and drops the replica from the record.
-/// The backend still uninstalls it and tells the home store to forget
+/// The driver still uninstalls it and tells the home store to forget
 /// the peer (a `Leave` control message).
 ///
 /// Removing the *home* store triggers a fail-over (returned as the
 /// [`FailoverPlan`]): a surviving permanent store is elected the new
-/// sequencer and the backend hands it the retiring home's write log.
+/// sequencer and the driver hands it the retiring home's write log.
 pub(crate) fn plan_remove_store(
     record: &mut ObjectRecord,
     node: NodeId,
     view: Option<&MembershipView>,
-) -> Result<(StoreId, Option<FailoverPlan>), RuntimeError> {
-    let (_, store_id, _) = *record
-        .stores
-        .iter()
-        .find(|(n, _, _)| *n == node)
-        .ok_or(RuntimeError::NoSuchReplica)?;
+) -> Result<Option<FailoverPlan>, RuntimeError> {
+    if !record.stores.iter().any(|(n, _, _)| *n == node) {
+        return Err(RuntimeError::NoSuchReplica);
+    }
     if node == record.home_node {
-        let failover = plan_failover(record, node, view, true)?;
-        return Ok((store_id, Some(failover)));
+        return plan_failover(record, node, view, true).map(Some);
     }
     record.stores.retain(|(n, _, _)| *n != node);
-    Ok((store_id, None))
+    Ok(None)
 }
 
 fn replica_for(
     record: &ObjectRecord,
     store_id: StoreId,
     class: StoreClass,
-    parts: ReplicaParts<'_>,
+    kit: &ReplicaKit,
+    object: ObjectId,
+    semantics: Box<dyn Semantics>,
 ) -> StoreReplica {
     let peers = record
         .stores
@@ -429,7 +425,7 @@ fn replica_for(
         .map(|&(node, store, class)| PeerStore { node, store, class })
         .collect();
     let mut replica = StoreReplica::new(StoreConfig {
-        object: parts.object,
+        object,
         store_id,
         class,
         policy: record.policy.clone(),
@@ -437,12 +433,12 @@ fn replica_for(
         home_store: record.home_store,
         is_home: false,
         peers,
-        semantics: parts.semantics,
-        history: parts.history.clone(),
-        metrics: parts.metrics.clone(),
-        detector: parts.detector,
-        tuning: parts.tuning,
-        storage: parts.storage,
+        semantics,
+        history: kit.history.clone(),
+        metrics: kit.metrics.clone(),
+        detector: kit.detector,
+        tuning: kit.tuning,
+        storage: kit.storage.clone(),
     });
     // Born empty outside the creation path: the first state transfer
     // must land even if a newer write races ahead of it.
@@ -452,9 +448,9 @@ fn replica_for(
 
 /// Assembles a [`crate::lifecycle::MembershipView`] from the object
 /// record, the effective home, and the home node's node-level failure
-/// detector (queried through `health`; backends pass a closure over the
-/// home space's [`crate::AddressSpace::node_health`], or one returning
-/// `Alive` when the home space is unreachable).
+/// detector (queried through `health`; the driver passes a closure over
+/// the home space's [`crate::AddressSpace::node_health`], or one
+/// returning `Alive` when the home space is unreachable).
 pub(crate) fn membership_view(
     object: ObjectId,
     record: &ObjectRecord,

@@ -179,7 +179,7 @@ pub enum ProtocolEvent {
         log_len: usize,
     },
     /// The home recorded a peer's ack of the pending checkpoint (the
-    /// receive side of [`CheckpointTaken`]'s announce/ack round; when
+    /// receive side of [`ProtocolEvent::CheckpointTaken`]'s announce/ack round; when
     /// the last ack lands the covered log prefix becomes compactable).
     CheckpointAcked {
         /// The acking peer.

@@ -5,11 +5,12 @@
 // (clippy's allow-unwrap-in-tests only covers #[test] functions).
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use globe_coherence::{ObjectModel, StoreClass};
+use globe_coherence::{ClientId, ObjectModel, StoreClass, StoreId};
 use globe_core::{
-    registers, BindOptions, CallError, GlobeRuntime, GlobeSim, ObjectSpec, ReadChoice, RegisterDoc,
-    ReplicationPolicy, RuntimeError,
+    registers, BindOptions, CallError, GlobeRuntime, GlobeShard, GlobeSim, GlobeTcp, ObjectSpec,
+    ReadChoice, RegisterDoc, ReplicationPolicy, RuntimeError,
 };
+use globe_naming::ObjectId;
 use globe_net::{NodeId, Topology};
 
 fn doc() -> Box<dyn globe_core::Semantics> {
@@ -85,32 +86,33 @@ fn create_object_rejects_bad_input() {
     assert!(matches!(err, RuntimeError::BadPolicy(_)));
 }
 
-#[test]
-fn bind_rejects_missing_replicas_and_nodes() {
-    let mut sim = GlobeSim::new(Topology::lan(), 1);
-    let server = sim.add_node();
-    let other = sim.add_node();
+/// Every refusal of `bind`, in the one order the driver checks them
+/// (node, then object, then replica) — the same on every backend.
+fn check_bind_rejections<R: GlobeRuntime>(rt: &mut R) {
+    let server = rt.add_node().unwrap();
+    let other = rt.add_node().unwrap();
     let object = ObjectSpec::new("/b")
         .policy(policy())
         .semantics_boxed(doc)
         .home(server)
-        .create(&mut sim)
+        .create(rt)
         .unwrap();
+    let first = rt.bind(object, other, BindOptions::new()).unwrap();
 
     // Binding reads to a node without a replica.
-    let err = sim
+    let err = rt
         .bind(object, other, BindOptions::new().read_node(other))
         .unwrap_err();
     assert_eq!(err, RuntimeError::NoSuchReplica);
 
     // Binding in an unknown address space.
-    let err = sim
+    let err = rt
         .bind(object, NodeId::new(77), BindOptions::new())
         .unwrap_err();
     assert_eq!(err, RuntimeError::UnknownNode(NodeId::new(77)));
 
     // Requesting a store class that has no replica.
-    let err = sim
+    let err = rt
         .bind(
             object,
             other,
@@ -123,10 +125,26 @@ fn bind_rejects_missing_replicas_and_nodes() {
     assert_eq!(err, RuntimeError::NoSuchReplica);
 
     // Unknown object id.
-    let err = sim
-        .bind(globe_naming::ObjectId::new(999), other, BindOptions::new())
+    let ghost = ObjectId::new(999);
+    let err = rt.bind(ghost, other, BindOptions::new()).unwrap_err();
+    assert_eq!(err, RuntimeError::UnknownObject(ghost));
+
+    // Unknown object *and* unknown node: the node is checked first.
+    let err = rt
+        .bind(ghost, NodeId::new(77), BindOptions::new())
         .unwrap_err();
-    assert!(matches!(err, RuntimeError::UnknownObject(_)));
+    assert_eq!(err, RuntimeError::UnknownNode(NodeId::new(77)));
+
+    // None of the refused calls burned a client id.
+    let next = rt.bind(object, other, BindOptions::new()).unwrap();
+    assert_eq!(next.client, ClientId::new(first.client.raw() + 1));
+}
+
+#[test]
+fn bind_rejects_missing_replicas_and_nodes() {
+    check_bind_rejections(&mut GlobeSim::new(Topology::lan(), 1));
+    check_bind_rejections(&mut GlobeTcp::new());
+    check_bind_rejections(&mut GlobeShard::new(2));
 }
 
 #[test]
@@ -227,38 +245,85 @@ fn stalled_calls_report_instead_of_hanging() {
     );
 }
 
-#[test]
-fn lifecycle_rejects_unknown_targets() {
-    // The lifecycle surface reports precise errors instead of panicking.
-    let mut sim = GlobeSim::new(Topology::lan(), 5);
-    let server = sim.add_node();
-    let stranger = sim.add_node();
+/// The lifecycle surface reports precise errors instead of panicking,
+/// and the same ones on every backend.
+fn check_lifecycle_rejections<R: GlobeRuntime>(rt: &mut R) {
+    let server = rt.add_node().unwrap();
+    let stranger = rt.add_node().unwrap();
     let object = ObjectSpec::new("/legacy")
         .policy(policy())
         .semantics_boxed(doc)
         .store(server, StoreClass::Permanent)
-        .create(&mut sim)
+        .create(rt)
         .unwrap();
     // Unknown object.
-    let ghost = globe_naming::ObjectId::new(9999);
+    let ghost = ObjectId::new(9999);
     assert!(matches!(
-        sim.membership(ghost),
+        rt.membership(ghost),
         Err(RuntimeError::UnknownObject(_))
     ));
     // A node that hosts no replica cannot be removed or restarted.
     assert!(matches!(
-        sim.remove_store(object, stranger),
+        rt.remove_store(object, stranger),
         Err(RuntimeError::NoSuchReplica)
     ));
     assert!(matches!(
-        sim.restart_store(object, stranger, doc()),
+        rt.restart_store(object, stranger, doc()),
         Err(RuntimeError::NoSuchReplica)
     ));
     // The home store can be neither removed nor restarted.
-    assert!(sim.remove_store(object, server).is_err());
-    assert!(sim.restart_store(object, server, doc()).is_err());
+    assert!(rt.remove_store(object, server).is_err());
+    assert!(rt.restart_store(object, server, doc()).is_err());
     // A node cannot host two replicas of the same object.
-    assert!(sim
+    assert!(rt
         .add_store(object, server, StoreClass::ClientInitiated, doc())
         .is_err());
+}
+
+#[test]
+fn lifecycle_rejects_unknown_targets() {
+    check_lifecycle_rejections(&mut GlobeSim::new(Topology::lan(), 5));
+    check_lifecycle_rejections(&mut GlobeTcp::new());
+    check_lifecycle_rejections(&mut GlobeShard::new(2));
+}
+
+#[test]
+fn tcp_create_after_start_is_refused_not_fatal() {
+    // Once a node's event loop owns its endpoint the caller can no longer
+    // start a replica there: creation is refused with a typed error (it
+    // used to abort the process) and leaves the runtime untouched.
+    let mut tcp = GlobeTcp::new();
+    let server = tcp.add_node().unwrap();
+    let client = tcp.add_node().unwrap();
+    let early = ObjectSpec::new("/early")
+        .semantics_boxed(doc)
+        .home(server)
+        .create(&mut tcp)
+        .unwrap();
+    tcp.start(&[client]);
+
+    let err = ObjectSpec::new("/late")
+        .semantics_boxed(doc)
+        .home(server)
+        .create(&mut tcp)
+        .unwrap_err();
+    assert!(matches!(err, RuntimeError::Unsupported(_)), "got {err:?}");
+
+    // No store id was allocated for the refused placement…
+    let mirror = tcp
+        .add_store(early, client, StoreClass::ObjectInitiated, doc())
+        .unwrap();
+    assert_eq!(mirror, StoreId::new(1));
+    // …and the name was not registered: a node the caller still drives
+    // can host it, and the object serves calls.
+    let late = ObjectSpec::new("/late")
+        .semantics_boxed(doc)
+        .home(client)
+        .create(&mut tcp)
+        .unwrap();
+    let handle = tcp.bind(late, client, BindOptions::new()).unwrap();
+    tcp.handle(handle).write(registers::put("p", b"v")).unwrap();
+    let read = tcp.handle(handle).read(registers::get("p")).unwrap();
+    assert_eq!(&read[..], b"v");
+    tcp.shutdown();
 }

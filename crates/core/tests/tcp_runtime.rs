@@ -6,7 +6,9 @@
 use std::time::Duration;
 
 use globe_coherence::{ClientModel, StoreClass};
-use globe_core::{registers, BindOptions, GlobeTcp, ObjectSpec, RegisterDoc, ReplicationPolicy};
+use globe_core::{
+    registers, BindOptions, GlobeRuntime, GlobeTcp, ObjectSpec, RegisterDoc, ReplicationPolicy,
+};
 
 const CALL_TIMEOUT: Duration = Duration::from_secs(10);
 

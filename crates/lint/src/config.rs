@@ -133,14 +133,14 @@ mod tests {
             r#"
 # comment
 order = ["a", "b", "c"]
-[aliases.tcp_runtime]
+[aliases.tcp_fabric]
 endpoint = "endpoints"
 space = "spaces"
 "#,
         )
         .expect("valid config");
         assert_eq!(doc.arrays["order"], vec!["a", "b", "c"]);
-        let aliases = doc.section_strings("aliases.tcp_runtime");
+        let aliases = doc.section_strings("aliases.tcp_fabric");
         assert_eq!(aliases["endpoint"], "endpoints");
         assert_eq!(aliases["space"], "spaces");
     }

@@ -36,8 +36,10 @@ pub const PROTOCOL_CRATES: &[&str] = &["core", "net", "wire", "coherence"];
 
 /// Files bound by the lock-order rule (workspace-relative).
 pub const LOCK_FILES: &[&str] = &[
-    "crates/core/src/tcp_runtime.rs",
-    "crates/core/src/shard_runtime.rs",
+    "crates/core/src/driver.rs",
+    "crates/core/src/fabric.rs",
+    "crates/core/src/tcp_fabric.rs",
+    "crates/core/src/shard_fabric.rs",
     "crates/core/src/store_engine.rs",
     "crates/core/src/space.rs",
 ];

@@ -92,7 +92,7 @@ struct Held {
 }
 
 /// Scans one file. `file` is the diagnostics path; the alias table is
-/// selected by the file stem (`tcp_runtime` for `…/tcp_runtime.rs`).
+/// selected by the file stem (`tcp_fabric` for `…/tcp_fabric.rs`).
 pub fn check(file: &str, lexed: &Lexed, cfg: &LockConfig) -> Vec<Diagnostic> {
     let stem = file
         .rsplit('/')

@@ -83,8 +83,8 @@ fn lock_fixture_exact_findings() {
         .expect("lock config");
     let src = fixture("lock_violation.rs");
     let lexed = lex(&src);
-    // The stem "tcp_runtime" selects that file's alias table.
-    let diags = rules::locks::check("tcp_runtime.rs", &lexed, &cfg);
+    // The stem "tcp_fabric" selects that file's alias table.
+    let diags = rules::locks::check("tcp_fabric.rs", &lexed, &cfg);
     assert_eq!(
         shape(&diags),
         vec![(Rule::LockOrder, 7), (Rule::LockOrder, 14)],

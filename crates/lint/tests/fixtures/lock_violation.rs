@@ -1,6 +1,6 @@
 // Fixture: lock-order violations at pinned lines, checked against the
-// real crates/lint/lock_order.toml (tcp_runtime aliases apply — the
-// fixture is lexed under the file stem "tcp_runtime"). Not compiled.
+// real crates/lint/lock_order.toml (tcp_fabric aliases apply — the
+// fixture is lexed under the file stem "tcp_fabric"). Not compiled.
 
 fn inverted(&self, node: NodeId) {
     let mut space = self.spaces[&node].lock();

@@ -18,7 +18,7 @@
 //!
 //! ```
 //! use globe_coherence::StoreClass;
-//! use globe_core::{BindOptions, GlobeSim, ObjectSpec, ReplicationPolicy};
+//! use globe_core::{BindOptions, GlobeRuntime, GlobeSim, ObjectSpec, ReplicationPolicy};
 //! use globe_net::Topology;
 //! use globe_web::WebSemantics;
 //! use globe_workload::{run_workload, WorkloadSpec};

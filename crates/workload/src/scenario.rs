@@ -5,7 +5,7 @@ use std::time::Duration;
 
 use globe_coherence::{ClientModel, StoreClass};
 use globe_core::{
-    BindOptions, ClientHandle, GlobeSim, ObjectSpec, ReplicationPolicy, RuntimeError,
+    BindOptions, ClientHandle, GlobeRuntime, GlobeSim, ObjectSpec, ReplicationPolicy, RuntimeError,
 };
 use globe_naming::ObjectId;
 use globe_net::{NodeId, RegionId, Topology};

@@ -5,6 +5,7 @@
 use std::time::Duration;
 
 use globe_coherence::{check, ObjectModel};
+use globe_core::GlobeRuntime;
 use globe_workload::{run_workload, scenario, WorkloadSpec};
 
 fn shrink(spec: WorkloadSpec) -> WorkloadSpec {
