@@ -3,7 +3,7 @@
 use std::fmt;
 
 use bytes::{Buf, BufMut};
-use globe_wire::{WireDecode, WireEncode, WireError};
+use globe_wire::{wire_record, WireDecode, WireEncode, WireError};
 
 /// Identifies one client session.
 ///
@@ -130,24 +130,7 @@ impl fmt::Display for WriteId {
     }
 }
 
-impl WireEncode for WriteId {
-    fn encode<B: BufMut>(&self, buf: &mut B) {
-        self.client.encode(buf);
-        self.seq.encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        self.client.encoded_len() + self.seq.encoded_len()
-    }
-}
-
-impl WireDecode for WriteId {
-    fn decode<B: Buf>(buf: &mut B) -> Result<Self, WireError> {
-        Ok(WriteId {
-            client: ClientId::decode(buf)?,
-            seq: u64::decode(buf)?,
-        })
-    }
-}
+wire_record!(WriteId { client, seq });
 
 /// The paper's RYW dependency record: "the identifier of the last
 /// performed write and the identifier of the store on which it has been
@@ -166,24 +149,7 @@ impl fmt::Display for Dependency {
     }
 }
 
-impl WireEncode for Dependency {
-    fn encode<B: BufMut>(&self, buf: &mut B) {
-        self.wid.encode(buf);
-        self.store.encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        self.wid.encoded_len() + self.store.encoded_len()
-    }
-}
-
-impl WireDecode for Dependency {
-    fn decode<B: Buf>(buf: &mut B) -> Result<Self, WireError> {
-        Ok(Dependency {
-            wid: WriteId::decode(buf)?,
-            store: StoreId::decode(buf)?,
-        })
-    }
-}
+wire_record!(Dependency { wid, store });
 
 #[cfg(test)]
 mod tests {
@@ -207,6 +173,8 @@ mod tests {
             store: StoreId::new(2),
         };
         assert_eq!(from_bytes::<Dependency>(&to_bytes(&dep)).unwrap(), dep);
+        // Field order on the wire: client, seq, then the store.
+        assert_eq!(&to_bytes(&dep)[..], [0, 0, 0, 7, 123, 0, 0, 0, 2]);
         let c = ClientId::new(9);
         assert_eq!(from_bytes::<ClientId>(&to_bytes(&c)).unwrap(), c);
         let s = StoreId::new(4);

@@ -8,8 +8,7 @@
 
 use std::fmt;
 
-use bytes::{Buf, BufMut};
-use globe_wire::{WireDecode, WireEncode, WireError};
+use globe_wire::wire_record;
 
 /// A scalar logical timestamp: `(counter, node)` pairs, totally ordered
 /// with the node id breaking ties.
@@ -73,24 +72,7 @@ impl fmt::Display for LamportStamp {
     }
 }
 
-impl WireEncode for LamportStamp {
-    fn encode<B: BufMut>(&self, buf: &mut B) {
-        self.counter.encode(buf);
-        buf.put_u32(self.node);
-    }
-    fn encoded_len(&self) -> usize {
-        self.counter.encoded_len() + 4
-    }
-}
-
-impl WireDecode for LamportStamp {
-    fn decode<B: Buf>(buf: &mut B) -> Result<Self, WireError> {
-        Ok(LamportStamp {
-            counter: u64::decode(buf)?,
-            node: u32::decode(buf)?,
-        })
-    }
-}
+wire_record!(LamportStamp { counter, node });
 
 #[cfg(test)]
 mod tests {
@@ -150,6 +132,8 @@ mod tests {
             node: 7,
         };
         let bytes = globe_wire::to_bytes(&stamp);
+        // Counter (varint) first, then the node as four big-endian bytes.
+        assert_eq!(&bytes[..], [0xc0, 0xc4, 0x07, 0, 0, 0, 7]);
         assert_eq!(
             globe_wire::from_bytes::<LamportStamp>(&bytes).unwrap(),
             stamp

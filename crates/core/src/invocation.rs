@@ -2,8 +2,8 @@
 
 use std::fmt;
 
-use bytes::{Buf, BufMut, Bytes};
-use globe_wire::{WireDecode, WireEncode, WireError};
+use bytes::Bytes;
+use globe_wire::wire_record;
 
 use crate::MethodId;
 
@@ -58,24 +58,7 @@ impl InvocationMessage {
     }
 }
 
-impl WireEncode for InvocationMessage {
-    fn encode<B: BufMut>(&self, buf: &mut B) {
-        self.method.encode(buf);
-        self.args.encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        self.method.encoded_len() + self.args.encoded_len()
-    }
-}
-
-impl WireDecode for InvocationMessage {
-    fn decode<B: Buf>(buf: &mut B) -> Result<Self, WireError> {
-        Ok(InvocationMessage {
-            method: MethodId::decode(buf)?,
-            args: Bytes::decode(buf)?,
-        })
-    }
-}
+wire_record!(InvocationMessage { method, args });
 
 #[cfg(test)]
 mod tests {

@@ -9,7 +9,7 @@ use bytes::{Buf, BufMut, Bytes};
 use globe_coherence::{ClientId, PageKey, StoreClass, StoreId, VersionVector, WriteId};
 use globe_naming::ObjectId;
 use globe_net::NodeId;
-use globe_wire::{WireDecode, WireEncode, WireError};
+use globe_wire::{wire_record, wire_tagged, WireDecode, WireEncode, WireError};
 
 use crate::{InvocationMessage, ReplicationPolicy, RequestId};
 
@@ -50,34 +50,13 @@ impl LoggedWrite {
     }
 }
 
-impl WireEncode for LoggedWrite {
-    fn encode<B: BufMut>(&self, buf: &mut B) {
-        self.wid.encode(buf);
-        self.inv.encode(buf);
-        self.deps.encode(buf);
-        self.page.encode(buf);
-        self.order.encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        self.wid.encoded_len()
-            + self.inv.encoded_len()
-            + self.deps.encoded_len()
-            + self.page.encoded_len()
-            + self.order.encoded_len()
-    }
-}
-
-impl WireDecode for LoggedWrite {
-    fn decode<B: Buf>(buf: &mut B) -> Result<Self, WireError> {
-        Ok(LoggedWrite {
-            wid: WriteId::decode(buf)?,
-            inv: InvocationMessage::decode(buf)?,
-            deps: VersionVector::decode(buf)?,
-            page: Option::<PageKey>::decode(buf)?,
-            order: Option::<u64>::decode(buf)?,
-        })
-    }
-}
+wire_record!(LoggedWrite {
+    wid,
+    inv,
+    deps,
+    page,
+    order
+});
 
 /// Outcome of a client call, as shipped in a [`CoherenceMsg::Reply`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -438,540 +417,115 @@ pub enum CoherenceMsg {
     },
 }
 
+// The wire format, one row per frame: its tag byte, then its fields in
+// the order they travel. This table *is* the codec — `wire_tagged!`
+// derives `KINDS`, `tag()`, `kind_name()`, `encode`, `encoded_len` and
+// `decode` from it, and a variant or field missing here does not compile.
+// Tags are forever: add new frames at the end, never renumber.
+wire_tagged!(CoherenceMsg {
+    0 => ReadReq { req, client, inv, min_version },
+    1 => WriteReq { req, client, write },
+    2 => Reply { req, outcome, version, sees, full_state },
+    3 => Update { write },
+    4 => UpdateBatch { writes, version },
+    5 => FullState { version, state, writers, order_high },
+    6 => Invalidate { pages, version },
+    7 => Notify { version },
+    8 => DemandUpdate { since, order_since },
+    9 => DemandResend { client, from_seq },
+    10 => PolicyUpdate { policy },
+    11 => JoinRequest { node, store, class, version },
+    12 => StateTransfer { version, state, writers, order_high, log, peers },
+    13 => Leave { node },
+    14 => NodePing { seq },
+    15 => NodePong { seq },
+    16 => ElectRequest { peers, epoch },
+    17 => SequencerHandoff {
+        old_home, new_home, new_home_store, epoch, version, state, writers, order_high, log, peers
+    },
+    18 => Membership { peers },
+    19 => WriteBatch { first_order, writes, version },
+    20 => LeaseRequest { node, store },
+    21 => LeaseGrant { epoch, version, duration },
+    22 => LeaseRevoke { epoch },
+    23 => StateDelta { chunk, chunks, writes, version, order_high, peers },
+    24 => CheckpointAnnounce { version },
+    25 => CheckpointAck { node, version },
+    26 => CompactBelow { version },
+});
+
 impl CoherenceMsg {
-    /// Short name of the variant, for traffic accounting.
-    pub fn kind_name(&self) -> &'static str {
+    /// How the flight recorder ([`crate::trace`]) accounts for this
+    /// frame: `Ok(kinds)` names the [`crate::ProtocolEvent::kind`]
+    /// strings that journal its effect, `Err(reason)` says why the
+    /// journal deliberately ignores it. The match is exhaustive, so a new
+    /// frame has to pick a side before it compiles; the catalogue in
+    /// `docs/ARCHITECTURE.md` is checked against it.
+    pub fn trace_story(&self) -> Result<&'static [&'static str], &'static str> {
         match self {
-            CoherenceMsg::ReadReq { .. } => "ReadReq",
-            CoherenceMsg::WriteReq { .. } => "WriteReq",
-            CoherenceMsg::Reply { .. } => "Reply",
-            CoherenceMsg::Update { .. } => "Update",
-            CoherenceMsg::UpdateBatch { .. } => "UpdateBatch",
-            CoherenceMsg::FullState { .. } => "FullState",
-            CoherenceMsg::Invalidate { .. } => "Invalidate",
-            CoherenceMsg::Notify { .. } => "Notify",
-            CoherenceMsg::DemandUpdate { .. } => "DemandUpdate",
-            CoherenceMsg::DemandResend { .. } => "DemandResend",
-            CoherenceMsg::PolicyUpdate { .. } => "PolicyUpdate",
-            CoherenceMsg::JoinRequest { .. } => "JoinRequest",
-            CoherenceMsg::StateTransfer { .. } => "StateTransfer",
-            CoherenceMsg::Leave { .. } => "Leave",
-            CoherenceMsg::NodePing { .. } => "NodePing",
-            CoherenceMsg::NodePong { .. } => "NodePong",
-            CoherenceMsg::ElectRequest { .. } => "ElectRequest",
-            CoherenceMsg::SequencerHandoff { .. } => "SequencerHandoff",
-            CoherenceMsg::Membership { .. } => "Membership",
-            CoherenceMsg::WriteBatch { .. } => "WriteBatch",
-            CoherenceMsg::LeaseRequest { .. } => "LeaseRequest",
-            CoherenceMsg::LeaseGrant { .. } => "LeaseGrant",
-            CoherenceMsg::LeaseRevoke { .. } => "LeaseRevoke",
-            CoherenceMsg::StateDelta { .. } => "StateDelta",
-            CoherenceMsg::CheckpointAnnounce { .. } => "CheckpointAnnounce",
-            CoherenceMsg::CheckpointAck { .. } => "CheckpointAck",
-            CoherenceMsg::CompactBelow { .. } => "CompactBelow",
-        }
-    }
-}
-
-impl WireEncode for CoherenceMsg {
-    fn encode<B: BufMut>(&self, buf: &mut B) {
-        match self {
-            CoherenceMsg::ReadReq {
-                req,
-                client,
-                inv,
-                min_version,
-            } => {
-                buf.put_u8(0);
-                req.encode(buf);
-                client.encode(buf);
-                inv.encode(buf);
-                min_version.encode(buf);
+            CoherenceMsg::ReadReq { .. } => Ok(&["read_served"]),
+            CoherenceMsg::WriteReq { .. } => Ok(&["write_staged", "write_ordered"]),
+            CoherenceMsg::Reply { .. } => Ok(&["write_acked", "read_served"]),
+            CoherenceMsg::Update { .. } => Ok(&["fanout_sent", "write_applied"]),
+            CoherenceMsg::UpdateBatch { .. } => {
+                Ok(&["batch_flushed", "fanout_sent", "write_applied"])
             }
-            CoherenceMsg::WriteReq { req, client, write } => {
-                buf.put_u8(1);
-                req.encode(buf);
-                client.encode(buf);
-                write.encode(buf);
+            CoherenceMsg::FullState { .. } => {
+                Ok(&["state_transfer_sent", "state_transfer_installed"])
             }
-            CoherenceMsg::Reply {
-                req,
-                outcome,
-                version,
-                sees,
-                full_state,
-            } => {
-                buf.put_u8(2);
-                req.encode(buf);
-                outcome.encode(buf);
-                version.encode(buf);
-                sees.encode(buf);
-                full_state.encode(buf);
+            CoherenceMsg::Invalidate { .. } => Err(
+                "pull-policy cache drop; the next read journals read_served, \
+                 no replica state mutates on receipt",
+            ),
+            CoherenceMsg::Notify { .. } => Err(
+                "carries no data, only raises the receiver's known version; \
+                 the demand it may trigger is answered by a journalled fanout_sent",
+            ),
+            CoherenceMsg::DemandUpdate { .. } => Err(
+                "request-only frame; the resulting Update/UpdateBatch is journalled as fanout_sent",
+            ),
+            CoherenceMsg::DemandResend { .. } => {
+                Err("request-only retransmit ask; the resent frame carries its own journal entry")
             }
-            CoherenceMsg::Update { write } => {
-                buf.put_u8(3);
-                write.encode(buf);
+            CoherenceMsg::PolicyUpdate { .. } => Err(
+                "policy epoch changes are tracked by the adaptive controller's metrics, \
+                 not the protocol journal",
+            ),
+            CoherenceMsg::JoinRequest { .. } => Err(
+                "membership admission trigger; the resulting transfer is journalled \
+                 as state_transfer_sent",
+            ),
+            CoherenceMsg::StateTransfer { .. } => {
+                Ok(&["state_transfer_sent", "state_transfer_installed"])
             }
-            CoherenceMsg::UpdateBatch { writes, version } => {
-                buf.put_u8(4);
-                writes.encode(buf);
-                version.encode(buf);
+            CoherenceMsg::Leave { .. } => Err(
+                "orderly departure; visible as membership churn and suspicion never firing, \
+                 no store state mutates",
+            ),
+            CoherenceMsg::NodePing { .. } => Err(
+                "liveness probe; the journal records the failure path (suspicion_raised) \
+                 when pongs stop",
+            ),
+            CoherenceMsg::NodePong { .. } => Err("liveness probe response; see NodePing"),
+            CoherenceMsg::ElectRequest { .. } => Ok(&["election_started"]),
+            CoherenceMsg::SequencerHandoff { .. } => Ok(&["takeover_announced"]),
+            CoherenceMsg::Membership { .. } => {
+                Err("gossip of a view the recorder reconstructs from \
+                 election_started/takeover_announced")
             }
-            CoherenceMsg::FullState {
-                version,
-                state,
-                writers,
-                order_high,
-            } => {
-                buf.put_u8(5);
-                version.encode(buf);
-                state.encode(buf);
-                writers.encode(buf);
-                order_high.encode(buf);
+            CoherenceMsg::WriteBatch { .. } => Ok(&["batch_flushed", "write_ordered"]),
+            CoherenceMsg::LeaseRequest { .. } => Err(
+                "request-only frame; grants and refusals are journalled on the grant path \
+                 as lease_granted",
+            ),
+            CoherenceMsg::LeaseGrant { .. } => Ok(&["lease_granted", "lease_renewed"]),
+            CoherenceMsg::LeaseRevoke { .. } => Ok(&["lease_revoked", "lease_expired"]),
+            CoherenceMsg::StateDelta { .. } => {
+                Ok(&["delta_transfer_sent", "delta_transfer_installed"])
             }
-            CoherenceMsg::Invalidate { pages, version } => {
-                buf.put_u8(6);
-                pages.encode(buf);
-                version.encode(buf);
-            }
-            CoherenceMsg::Notify { version } => {
-                buf.put_u8(7);
-                version.encode(buf);
-            }
-            CoherenceMsg::DemandUpdate { since, order_since } => {
-                buf.put_u8(8);
-                since.encode(buf);
-                order_since.encode(buf);
-            }
-            CoherenceMsg::DemandResend { client, from_seq } => {
-                buf.put_u8(9);
-                client.encode(buf);
-                from_seq.encode(buf);
-            }
-            CoherenceMsg::PolicyUpdate { policy } => {
-                buf.put_u8(10);
-                policy.encode(buf);
-            }
-            CoherenceMsg::JoinRequest {
-                node,
-                store,
-                class,
-                version,
-            } => {
-                buf.put_u8(11);
-                node.encode(buf);
-                store.encode(buf);
-                class.encode(buf);
-                version.encode(buf);
-            }
-            CoherenceMsg::StateTransfer {
-                version,
-                state,
-                writers,
-                order_high,
-                log,
-                peers,
-            } => {
-                buf.put_u8(12);
-                version.encode(buf);
-                state.encode(buf);
-                writers.encode(buf);
-                order_high.encode(buf);
-                log.encode(buf);
-                peers.encode(buf);
-            }
-            CoherenceMsg::Leave { node } => {
-                buf.put_u8(13);
-                node.encode(buf);
-            }
-            CoherenceMsg::NodePing { seq } => {
-                buf.put_u8(14);
-                seq.encode(buf);
-            }
-            CoherenceMsg::NodePong { seq } => {
-                buf.put_u8(15);
-                seq.encode(buf);
-            }
-            CoherenceMsg::ElectRequest { peers, epoch } => {
-                buf.put_u8(16);
-                peers.encode(buf);
-                epoch.encode(buf);
-            }
-            CoherenceMsg::SequencerHandoff {
-                old_home,
-                new_home,
-                new_home_store,
-                epoch,
-                version,
-                state,
-                writers,
-                order_high,
-                log,
-                peers,
-            } => {
-                buf.put_u8(17);
-                old_home.encode(buf);
-                new_home.encode(buf);
-                new_home_store.encode(buf);
-                epoch.encode(buf);
-                version.encode(buf);
-                state.encode(buf);
-                writers.encode(buf);
-                order_high.encode(buf);
-                log.encode(buf);
-                peers.encode(buf);
-            }
-            CoherenceMsg::Membership { peers } => {
-                buf.put_u8(18);
-                peers.encode(buf);
-            }
-            CoherenceMsg::WriteBatch {
-                first_order,
-                writes,
-                version,
-            } => {
-                buf.put_u8(19);
-                first_order.encode(buf);
-                writes.encode(buf);
-                version.encode(buf);
-            }
-            CoherenceMsg::LeaseRequest { node, store } => {
-                buf.put_u8(20);
-                node.encode(buf);
-                store.encode(buf);
-            }
-            CoherenceMsg::LeaseGrant {
-                epoch,
-                version,
-                duration,
-            } => {
-                buf.put_u8(21);
-                epoch.encode(buf);
-                version.encode(buf);
-                duration.encode(buf);
-            }
-            CoherenceMsg::LeaseRevoke { epoch } => {
-                buf.put_u8(22);
-                epoch.encode(buf);
-            }
-            CoherenceMsg::StateDelta {
-                chunk,
-                chunks,
-                writes,
-                version,
-                order_high,
-                peers,
-            } => {
-                buf.put_u8(23);
-                chunk.encode(buf);
-                chunks.encode(buf);
-                writes.encode(buf);
-                version.encode(buf);
-                order_high.encode(buf);
-                peers.encode(buf);
-            }
-            CoherenceMsg::CheckpointAnnounce { version } => {
-                buf.put_u8(24);
-                version.encode(buf);
-            }
-            CoherenceMsg::CheckpointAck { node, version } => {
-                buf.put_u8(25);
-                node.encode(buf);
-                version.encode(buf);
-            }
-            CoherenceMsg::CompactBelow { version } => {
-                buf.put_u8(26);
-                version.encode(buf);
-            }
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            CoherenceMsg::ReadReq {
-                req,
-                client,
-                inv,
-                min_version,
-            } => {
-                req.encoded_len()
-                    + client.encoded_len()
-                    + inv.encoded_len()
-                    + min_version.encoded_len()
-            }
-            CoherenceMsg::WriteReq { req, client, write } => {
-                req.encoded_len() + client.encoded_len() + write.encoded_len()
-            }
-            CoherenceMsg::Reply {
-                req,
-                outcome,
-                version,
-                sees,
-                full_state,
-            } => {
-                req.encoded_len()
-                    + outcome.encoded_len()
-                    + version.encoded_len()
-                    + sees.encoded_len()
-                    + full_state.encoded_len()
-            }
-            CoherenceMsg::Update { write } => write.encoded_len(),
-            CoherenceMsg::UpdateBatch { writes, version } => {
-                writes.encoded_len() + version.encoded_len()
-            }
-            CoherenceMsg::FullState {
-                version,
-                state,
-                writers,
-                order_high,
-            } => {
-                version.encoded_len()
-                    + state.encoded_len()
-                    + writers.encoded_len()
-                    + order_high.encoded_len()
-            }
-            CoherenceMsg::Invalidate { pages, version } => {
-                pages.encoded_len() + version.encoded_len()
-            }
-            CoherenceMsg::Notify { version } => version.encoded_len(),
-            CoherenceMsg::DemandUpdate { since, order_since } => {
-                since.encoded_len() + order_since.encoded_len()
-            }
-            CoherenceMsg::DemandResend { client, from_seq } => {
-                client.encoded_len() + from_seq.encoded_len()
-            }
-            CoherenceMsg::PolicyUpdate { policy } => policy.encoded_len(),
-            CoherenceMsg::JoinRequest {
-                node,
-                store,
-                class,
-                version,
-            } => {
-                node.encoded_len()
-                    + store.encoded_len()
-                    + class.encoded_len()
-                    + version.encoded_len()
-            }
-            CoherenceMsg::StateTransfer {
-                version,
-                state,
-                writers,
-                order_high,
-                log,
-                peers,
-            } => {
-                version.encoded_len()
-                    + state.encoded_len()
-                    + writers.encoded_len()
-                    + order_high.encoded_len()
-                    + log.encoded_len()
-                    + peers.encoded_len()
-            }
-            CoherenceMsg::Leave { node } => node.encoded_len(),
-            CoherenceMsg::NodePing { seq } => seq.encoded_len(),
-            CoherenceMsg::NodePong { seq } => seq.encoded_len(),
-            CoherenceMsg::ElectRequest { peers, epoch } => {
-                peers.encoded_len() + epoch.encoded_len()
-            }
-            CoherenceMsg::SequencerHandoff {
-                old_home,
-                new_home,
-                new_home_store,
-                epoch,
-                version,
-                state,
-                writers,
-                order_high,
-                log,
-                peers,
-            } => {
-                old_home.encoded_len()
-                    + new_home.encoded_len()
-                    + new_home_store.encoded_len()
-                    + epoch.encoded_len()
-                    + version.encoded_len()
-                    + state.encoded_len()
-                    + writers.encoded_len()
-                    + order_high.encoded_len()
-                    + log.encoded_len()
-                    + peers.encoded_len()
-            }
-            CoherenceMsg::Membership { peers } => peers.encoded_len(),
-            CoherenceMsg::WriteBatch {
-                first_order,
-                writes,
-                version,
-            } => first_order.encoded_len() + writes.encoded_len() + version.encoded_len(),
-            CoherenceMsg::LeaseRequest { node, store } => node.encoded_len() + store.encoded_len(),
-            CoherenceMsg::LeaseGrant {
-                epoch,
-                version,
-                duration,
-            } => epoch.encoded_len() + version.encoded_len() + duration.encoded_len(),
-            CoherenceMsg::LeaseRevoke { epoch } => epoch.encoded_len(),
-            CoherenceMsg::StateDelta {
-                chunk,
-                chunks,
-                writes,
-                version,
-                order_high,
-                peers,
-            } => {
-                chunk.encoded_len()
-                    + chunks.encoded_len()
-                    + writes.encoded_len()
-                    + version.encoded_len()
-                    + order_high.encoded_len()
-                    + peers.encoded_len()
-            }
-            CoherenceMsg::CheckpointAnnounce { version } => version.encoded_len(),
-            CoherenceMsg::CheckpointAck { node, version } => {
-                node.encoded_len() + version.encoded_len()
-            }
-            CoherenceMsg::CompactBelow { version } => version.encoded_len(),
-        }
-    }
-}
-
-impl WireDecode for CoherenceMsg {
-    fn decode<B: Buf>(buf: &mut B) -> Result<Self, WireError> {
-        if !buf.has_remaining() {
-            return Err(WireError::Truncated {
-                needed: 1,
-                remaining: 0,
-            });
-        }
-        match buf.get_u8() {
-            0 => Ok(CoherenceMsg::ReadReq {
-                req: RequestId::decode(buf)?,
-                client: ClientId::decode(buf)?,
-                inv: InvocationMessage::decode(buf)?,
-                min_version: VersionVector::decode(buf)?,
-            }),
-            1 => Ok(CoherenceMsg::WriteReq {
-                req: RequestId::decode(buf)?,
-                client: ClientId::decode(buf)?,
-                write: LoggedWrite::decode(buf)?,
-            }),
-            2 => Ok(CoherenceMsg::Reply {
-                req: RequestId::decode(buf)?,
-                outcome: CallOutcome::decode(buf)?,
-                version: VersionVector::decode(buf)?,
-                sees: Option::<WriteId>::decode(buf)?,
-                full_state: Option::<Bytes>::decode(buf)?,
-            }),
-            3 => Ok(CoherenceMsg::Update {
-                write: LoggedWrite::decode(buf)?,
-            }),
-            4 => Ok(CoherenceMsg::UpdateBatch {
-                writes: Vec::<LoggedWrite>::decode(buf)?,
-                version: VersionVector::decode(buf)?,
-            }),
-            5 => Ok(CoherenceMsg::FullState {
-                version: VersionVector::decode(buf)?,
-                state: Bytes::decode(buf)?,
-                writers: Vec::<(PageKey, WriteId)>::decode(buf)?,
-                order_high: Option::<u64>::decode(buf)?,
-            }),
-            6 => Ok(CoherenceMsg::Invalidate {
-                pages: Vec::<Option<PageKey>>::decode(buf)?,
-                version: VersionVector::decode(buf)?,
-            }),
-            7 => Ok(CoherenceMsg::Notify {
-                version: VersionVector::decode(buf)?,
-            }),
-            8 => Ok(CoherenceMsg::DemandUpdate {
-                since: VersionVector::decode(buf)?,
-                order_since: Option::<u64>::decode(buf)?,
-            }),
-            9 => Ok(CoherenceMsg::DemandResend {
-                client: ClientId::decode(buf)?,
-                from_seq: u64::decode(buf)?,
-            }),
-            10 => Ok(CoherenceMsg::PolicyUpdate {
-                policy: ReplicationPolicy::decode(buf)?,
-            }),
-            11 => Ok(CoherenceMsg::JoinRequest {
-                node: NodeId::decode(buf)?,
-                store: StoreId::decode(buf)?,
-                class: StoreClass::decode(buf)?,
-                version: VersionVector::decode(buf)?,
-            }),
-            12 => Ok(CoherenceMsg::StateTransfer {
-                version: VersionVector::decode(buf)?,
-                state: Bytes::decode(buf)?,
-                writers: Vec::<(PageKey, WriteId)>::decode(buf)?,
-                order_high: Option::<u64>::decode(buf)?,
-                log: Vec::<LoggedWrite>::decode(buf)?,
-                peers: Vec::<WireMember>::decode(buf)?,
-            }),
-            13 => Ok(CoherenceMsg::Leave {
-                node: NodeId::decode(buf)?,
-            }),
-            14 => Ok(CoherenceMsg::NodePing {
-                seq: u64::decode(buf)?,
-            }),
-            15 => Ok(CoherenceMsg::NodePong {
-                seq: u64::decode(buf)?,
-            }),
-            16 => Ok(CoherenceMsg::ElectRequest {
-                peers: Vec::<WireMember>::decode(buf)?,
-                epoch: u64::decode(buf)?,
-            }),
-            17 => Ok(CoherenceMsg::SequencerHandoff {
-                old_home: NodeId::decode(buf)?,
-                new_home: NodeId::decode(buf)?,
-                new_home_store: StoreId::decode(buf)?,
-                epoch: u64::decode(buf)?,
-                version: VersionVector::decode(buf)?,
-                state: Bytes::decode(buf)?,
-                writers: Vec::<(PageKey, WriteId)>::decode(buf)?,
-                order_high: Option::<u64>::decode(buf)?,
-                log: Vec::<LoggedWrite>::decode(buf)?,
-                peers: Vec::<WireMember>::decode(buf)?,
-            }),
-            18 => Ok(CoherenceMsg::Membership {
-                peers: Vec::<WireMember>::decode(buf)?,
-            }),
-            19 => Ok(CoherenceMsg::WriteBatch {
-                first_order: u64::decode(buf)?,
-                writes: Vec::<LoggedWrite>::decode(buf)?,
-                version: VersionVector::decode(buf)?,
-            }),
-            20 => Ok(CoherenceMsg::LeaseRequest {
-                node: NodeId::decode(buf)?,
-                store: StoreId::decode(buf)?,
-            }),
-            21 => Ok(CoherenceMsg::LeaseGrant {
-                epoch: u64::decode(buf)?,
-                version: VersionVector::decode(buf)?,
-                duration: std::time::Duration::decode(buf)?,
-            }),
-            22 => Ok(CoherenceMsg::LeaseRevoke {
-                epoch: u64::decode(buf)?,
-            }),
-            23 => Ok(CoherenceMsg::StateDelta {
-                chunk: u64::decode(buf)?,
-                chunks: u64::decode(buf)?,
-                writes: Vec::<LoggedWrite>::decode(buf)?,
-                version: VersionVector::decode(buf)?,
-                order_high: Option::<u64>::decode(buf)?,
-                peers: Vec::<WireMember>::decode(buf)?,
-            }),
-            24 => Ok(CoherenceMsg::CheckpointAnnounce {
-                version: VersionVector::decode(buf)?,
-            }),
-            25 => Ok(CoherenceMsg::CheckpointAck {
-                node: NodeId::decode(buf)?,
-                version: VersionVector::decode(buf)?,
-            }),
-            26 => Ok(CoherenceMsg::CompactBelow {
-                version: VersionVector::decode(buf)?,
-            }),
-            tag => Err(WireError::InvalidTag {
-                type_name: "CoherenceMsg",
-                tag,
-            }),
+            CoherenceMsg::CheckpointAnnounce { .. } => Ok(&["checkpoint_taken"]),
+            CoherenceMsg::CheckpointAck { .. } => Ok(&["checkpoint_acked"]),
+            CoherenceMsg::CompactBelow { .. } => Ok(&["log_compacted"]),
         }
     }
 }
@@ -985,236 +539,19 @@ pub struct NetMsg {
     pub msg: CoherenceMsg,
 }
 
-impl WireEncode for NetMsg {
-    fn encode<B: BufMut>(&self, buf: &mut B) {
-        self.object.encode(buf);
-        self.msg.encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        self.object.encoded_len() + self.msg.encoded_len()
-    }
-}
-
-impl WireDecode for NetMsg {
-    fn decode<B: Buf>(buf: &mut B) -> Result<Self, WireError> {
-        Ok(NetMsg {
-            object: ObjectId::decode(buf)?,
-            msg: CoherenceMsg::decode(buf)?,
-        })
-    }
-}
+wire_record!(NetMsg { object, msg });
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MethodId;
-
-    fn sample_write() -> LoggedWrite {
-        LoggedWrite {
-            wid: WriteId::new(ClientId::new(1), 3),
-            inv: InvocationMessage::new(MethodId::new(1), Bytes::from_static(b"args")),
-            deps: [(ClientId::new(2), 1u64)].into_iter().collect(),
-            page: Some("index.html".to_string()),
-            order: Some(17),
-        }
-    }
-
-    fn roundtrip(msg: CoherenceMsg) {
-        let env = NetMsg {
-            object: ObjectId::new(5),
-            msg,
-        };
-        let bytes = globe_wire::to_bytes(&env);
-        assert_eq!(bytes.len(), env.encoded_len());
-        let back: NetMsg = globe_wire::from_bytes(&bytes).unwrap();
-        assert_eq!(back, env);
-    }
-
-    #[test]
-    fn all_variants_roundtrip() {
-        roundtrip(CoherenceMsg::ReadReq {
-            req: RequestId::new(1),
-            client: ClientId::new(2),
-            inv: InvocationMessage::new(MethodId::new(0), Bytes::from_static(b"p")),
-            min_version: [(ClientId::new(2), 4u64)].into_iter().collect(),
-        });
-        roundtrip(CoherenceMsg::WriteReq {
-            req: RequestId::new(2),
-            client: ClientId::new(1),
-            write: sample_write(),
-        });
-        roundtrip(CoherenceMsg::Reply {
-            req: RequestId::new(3),
-            outcome: CallOutcome::Ok(Bytes::from_static(b"result")),
-            version: [(ClientId::new(1), 3u64)].into_iter().collect(),
-            sees: Some(WriteId::new(ClientId::new(1), 3)),
-            full_state: Some(Bytes::from_static(b"snapshot")),
-        });
-        roundtrip(CoherenceMsg::Reply {
-            req: RequestId::new(4),
-            outcome: CallOutcome::Err("page missing".into()),
-            version: VersionVector::new(),
-            sees: None,
-            full_state: None,
-        });
-        roundtrip(CoherenceMsg::Update {
-            write: sample_write(),
-        });
-        roundtrip(CoherenceMsg::UpdateBatch {
-            writes: vec![sample_write(), sample_write()],
-            version: VersionVector::new(),
-        });
-        roundtrip(CoherenceMsg::FullState {
-            version: [(ClientId::new(1), 9u64)].into_iter().collect(),
-            state: Bytes::from_static(b"state"),
-            writers: vec![("a".to_string(), WriteId::new(ClientId::new(1), 9))],
-            order_high: Some(12),
-        });
-        roundtrip(CoherenceMsg::Invalidate {
-            pages: vec![Some("a".to_string()), None],
-            version: VersionVector::new(),
-        });
-        roundtrip(CoherenceMsg::Notify {
-            version: [(ClientId::new(3), 1u64)].into_iter().collect(),
-        });
-        roundtrip(CoherenceMsg::DemandUpdate {
-            since: VersionVector::new(),
-            order_since: None,
-        });
-        roundtrip(CoherenceMsg::DemandResend {
-            client: ClientId::new(1),
-            from_seq: 4,
-        });
-        roundtrip(CoherenceMsg::PolicyUpdate {
-            policy: ReplicationPolicy::conference_page(),
-        });
-        roundtrip(CoherenceMsg::JoinRequest {
-            node: globe_net::NodeId::new(3),
-            store: StoreId::new(7),
-            class: StoreClass::ClientInitiated,
-            version: [(ClientId::new(1), 2u64)].into_iter().collect(),
-        });
-        roundtrip(CoherenceMsg::StateTransfer {
-            version: [(ClientId::new(1), 5u64)].into_iter().collect(),
-            state: Bytes::from_static(b"snapshot"),
-            writers: vec![("a".to_string(), WriteId::new(ClientId::new(1), 5))],
-            order_high: Some(6),
-            log: vec![sample_write(), sample_write()],
-            peers: vec![(
-                globe_net::NodeId::new(2),
-                StoreId::new(1),
-                StoreClass::Permanent,
-            )],
-        });
-        roundtrip(CoherenceMsg::Leave {
-            node: globe_net::NodeId::new(9),
-        });
-        roundtrip(CoherenceMsg::NodePing { seq: 12 });
-        roundtrip(CoherenceMsg::NodePong { seq: 12 });
-        roundtrip(CoherenceMsg::ElectRequest {
-            peers: vec![
-                (
-                    globe_net::NodeId::new(2),
-                    StoreId::new(0),
-                    StoreClass::Permanent,
-                ),
-                (
-                    globe_net::NodeId::new(4),
-                    StoreId::new(2),
-                    StoreClass::ObjectInitiated,
-                ),
-            ],
-            epoch: 3,
-        });
-        roundtrip(CoherenceMsg::SequencerHandoff {
-            old_home: globe_net::NodeId::new(0),
-            new_home: globe_net::NodeId::new(1),
-            new_home_store: StoreId::new(1),
-            epoch: 2,
-            version: [(ClientId::new(1), 5u64)].into_iter().collect(),
-            state: Bytes::from_static(b"snapshot"),
-            writers: vec![("a".to_string(), WriteId::new(ClientId::new(1), 5))],
-            order_high: Some(6),
-            log: vec![sample_write()],
-            peers: vec![(
-                globe_net::NodeId::new(3),
-                StoreId::new(2),
-                StoreClass::ClientInitiated,
-            )],
-        });
-        roundtrip(CoherenceMsg::Membership {
-            peers: vec![
-                (
-                    globe_net::NodeId::new(0),
-                    StoreId::new(0),
-                    StoreClass::Permanent,
-                ),
-                (
-                    globe_net::NodeId::new(5),
-                    StoreId::new(3),
-                    StoreClass::ObjectInitiated,
-                ),
-            ],
-        });
-        roundtrip(CoherenceMsg::WriteBatch {
-            first_order: 17,
-            writes: vec![sample_write(), sample_write()],
-            version: [(ClientId::new(1), 4u64)].into_iter().collect(),
-        });
-        roundtrip(CoherenceMsg::LeaseRequest {
-            node: globe_net::NodeId::new(4),
-            store: StoreId::new(2),
-        });
-        roundtrip(CoherenceMsg::LeaseGrant {
-            epoch: 3,
-            version: [(ClientId::new(2), 7u64)].into_iter().collect(),
-            duration: std::time::Duration::from_millis(1500),
-        });
-        roundtrip(CoherenceMsg::LeaseRevoke { epoch: 3 });
-        roundtrip(CoherenceMsg::StateDelta {
-            chunk: 1,
-            chunks: 3,
-            writes: vec![sample_write(), sample_write()],
-            version: [(ClientId::new(1), 8u64)].into_iter().collect(),
-            order_high: Some(21),
-            peers: vec![(
-                globe_net::NodeId::new(2),
-                StoreId::new(1),
-                StoreClass::Permanent,
-            )],
-        });
-        roundtrip(CoherenceMsg::StateDelta {
-            chunk: 0,
-            chunks: 1,
-            writes: Vec::new(),
-            version: VersionVector::new(),
-            order_high: None,
-            peers: Vec::new(),
-        });
-        roundtrip(CoherenceMsg::CheckpointAnnounce {
-            version: [(ClientId::new(2), 6u64)].into_iter().collect(),
-        });
-        roundtrip(CoherenceMsg::CheckpointAck {
-            node: globe_net::NodeId::new(4),
-            version: [(ClientId::new(2), 6u64)].into_iter().collect(),
-        });
-        roundtrip(CoherenceMsg::CompactBelow {
-            version: [(ClientId::new(2), 6u64)].into_iter().collect(),
-        });
-    }
 
     #[test]
     fn kind_names_are_distinct() {
-        let msgs = [
-            CoherenceMsg::Notify {
-                version: VersionVector::new(),
-            },
-            CoherenceMsg::DemandUpdate {
-                since: VersionVector::new(),
-                order_since: None,
-            },
-        ];
-        assert_ne!(msgs[0].kind_name(), msgs[1].kind_name());
+        let tags: Vec<u8> = CoherenceMsg::KINDS.iter().map(|(tag, _)| *tag).collect();
+        assert_eq!(tags, (0..=26).collect::<Vec<u8>>(), "tags are dense");
+        let names: std::collections::BTreeSet<&str> =
+            CoherenceMsg::KINDS.iter().map(|(_, name)| *name).collect();
+        assert_eq!(names.len(), CoherenceMsg::KINDS.len(), "names are unique");
     }
 
     #[test]

@@ -10,9 +10,8 @@
 use std::fmt;
 use std::time::Duration;
 
-use bytes::{Buf, BufMut};
 use globe_coherence::{ObjectModel, StoreClass};
-use globe_wire::{wire_enum, WireDecode, WireEncode, WireError};
+use globe_wire::{wire_enum, wire_record};
 
 use crate::PolicyError;
 
@@ -391,52 +390,19 @@ impl fmt::Display for ReplicationPolicy {
     }
 }
 
-impl WireEncode for ReplicationPolicy {
-    fn encode<B: BufMut>(&self, buf: &mut B) {
-        self.model.encode(buf);
-        self.propagation.encode(buf);
-        self.store_scope.encode(buf);
-        self.write_set.encode(buf);
-        self.initiative.encode(buf);
-        self.instant.encode(buf);
-        self.lazy_period.encode(buf);
-        self.access_transfer.encode(buf);
-        self.coherence_transfer.encode(buf);
-        self.object_outdate.encode(buf);
-        self.client_outdate.encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        self.model.encoded_len()
-            + self.propagation.encoded_len()
-            + self.store_scope.encoded_len()
-            + self.write_set.encoded_len()
-            + self.initiative.encoded_len()
-            + self.instant.encoded_len()
-            + self.lazy_period.encoded_len()
-            + self.access_transfer.encoded_len()
-            + self.coherence_transfer.encoded_len()
-            + self.object_outdate.encoded_len()
-            + self.client_outdate.encoded_len()
-    }
-}
-
-impl WireDecode for ReplicationPolicy {
-    fn decode<B: Buf>(buf: &mut B) -> Result<Self, WireError> {
-        Ok(ReplicationPolicy {
-            model: ObjectModel::decode(buf)?,
-            propagation: Propagation::decode(buf)?,
-            store_scope: StoreScope::decode(buf)?,
-            write_set: WriteSet::decode(buf)?,
-            initiative: TransferInitiative::decode(buf)?,
-            instant: TransferInstant::decode(buf)?,
-            lazy_period: Duration::decode(buf)?,
-            access_transfer: AccessTransfer::decode(buf)?,
-            coherence_transfer: CoherenceTransfer::decode(buf)?,
-            object_outdate: OutdateReaction::decode(buf)?,
-            client_outdate: OutdateReaction::decode(buf)?,
-        })
-    }
-}
+wire_record!(ReplicationPolicy {
+    model,
+    propagation,
+    store_scope,
+    write_set,
+    initiative,
+    instant,
+    lazy_period,
+    access_transfer,
+    coherence_transfer,
+    object_outdate,
+    client_outdate,
+});
 
 /// Validated builder for [`ReplicationPolicy`].
 #[derive(Debug, Clone)]

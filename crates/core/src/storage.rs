@@ -27,10 +27,10 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use bytes::{Buf, BufMut, Bytes};
+use bytes::Bytes;
 use globe_coherence::{PageKey, StoreId, VersionVector, WriteId};
 use globe_naming::ObjectId;
-use globe_wire::{WireDecode, WireEncode, WireError};
+use globe_wire::wire_record;
 
 use crate::messages::LoggedWrite;
 
@@ -83,31 +83,12 @@ pub struct CheckpointImage {
     pub order_high: Option<u64>,
 }
 
-impl WireEncode for CheckpointImage {
-    fn encode<B: BufMut>(&self, buf: &mut B) {
-        self.version.encode(buf);
-        self.state.encode(buf);
-        self.writers.encode(buf);
-        self.order_high.encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        self.version.encoded_len()
-            + self.state.encoded_len()
-            + self.writers.encoded_len()
-            + self.order_high.encoded_len()
-    }
-}
-
-impl WireDecode for CheckpointImage {
-    fn decode<B: Buf>(buf: &mut B) -> Result<Self, WireError> {
-        Ok(CheckpointImage {
-            version: VersionVector::decode(buf)?,
-            state: Bytes::decode(buf)?,
-            writers: Vec::<(PageKey, WriteId)>::decode(buf)?,
-            order_high: Option::<u64>::decode(buf)?,
-        })
-    }
-}
+wire_record!(CheckpointImage {
+    version,
+    state,
+    writers,
+    order_high
+});
 
 /// What a durable backend salvaged from its local files at open time:
 /// the last checkpoint (if one was written) plus every write-ahead-log

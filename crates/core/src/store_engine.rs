@@ -227,6 +227,9 @@ pub struct StoreReplica {
     /// `tuning.batch_max > 1`): acknowledged only when the flush applies
     /// them, so an ack never precedes application.
     pending_batch: Vec<BufferedWrite>,
+    /// `Some` while a batch flush runs: the flush's write acks, built
+    /// at admit time but held until its fan-out is with the transport.
+    held_acks: Option<Vec<(NodeId, CoherenceMsg, WriteId)>>,
     /// Read leases the home has granted, per grantee node, with expiry.
     granted_leases: HashMap<NodeId, globe_net::SimTime>,
     /// This replica's own read lease, when one is held.
@@ -302,6 +305,7 @@ impl StoreReplica {
             detector: config.detector,
             tuning: config.tuning,
             pending_batch: Vec::new(),
+            held_acks: None,
             granted_leases: HashMap::new(),
             lease: None,
             lazy_armed: false,
@@ -882,8 +886,7 @@ impl StoreReplica {
             Readiness::Stale => {
                 // Duplicate or superseded: acknowledge idempotently.
                 if let Some((node, req, _)) = reply_to {
-                    self.send_reply(ctx, node, req, CallOutcome::Ok(Bytes::new()), None);
-                    self.trace_event(ctx, ProtocolEvent::WriteAcked { write: write.wid });
+                    self.ack_write(ctx, node, req, CallOutcome::Ok(Bytes::new()), write.wid);
                 }
             }
             Readiness::Buffer => {
@@ -904,13 +907,7 @@ impl StoreReplica {
                     self.propagate(&finalized, from_client, ctx);
                 }
                 if let Some((node, req, _)) = reply_to {
-                    self.send_reply(ctx, node, req, outcome, None);
-                    self.trace_event(
-                        ctx,
-                        ProtocolEvent::WriteAcked {
-                            write: finalized.wid,
-                        },
-                    );
+                    self.ack_write(ctx, node, req, outcome, finalized.wid);
                 }
                 self.drain_buffered(ctx);
                 self.drain_queued_reads(ctx);
@@ -921,7 +918,9 @@ impl StoreReplica {
     /// Flushes the staged batch: one admission pass over the staged
     /// writes (one ordering decision each, assigned contiguously since
     /// nothing interleaves within the flush), then one coalesced
-    /// fan-out frame per in-scope peer covering the whole run.
+    /// fan-out frame per in-scope peer covering the whole run, and only
+    /// then the acks, in staged order — like the per-write path, a home
+    /// that dies after acknowledging has already sent the write on.
     fn flush_batch(&mut self, reason: FlushReason, ctx: &mut dyn NetCtx) {
         if self.pending_batch.is_empty() {
             return;
@@ -930,10 +929,15 @@ impl StoreReplica {
         let size = staged.len();
         self.metrics.lock().protocol.record_flush(reason, size);
         self.trace_event(ctx, ProtocolEvent::BatchFlushed { reason, size });
+        self.held_acks = Some(Vec::with_capacity(size));
         for entry in staged {
             self.admit_write(entry.reply_to, entry.write, false, ctx);
         }
         self.propagate_flushed(ctx);
+        for (to, reply, write) in self.held_acks.take().unwrap_or_default() {
+            self.comm.send(ctx, to, &reply);
+            self.trace_event(ctx, ProtocolEvent::WriteAcked { write });
+        }
     }
 
     /// Coalesced propagation after a batch flush: each in-scope peer
@@ -1677,26 +1681,15 @@ impl StoreReplica {
                         let (finalized, outcome) = self.apply_now(entry.write, ctx);
                         self.propagate(&finalized, from_client, ctx);
                         if let Some((node, req, _)) = entry.reply_to {
-                            self.send_reply(ctx, node, req, outcome, None);
-                            self.trace_event(
-                                ctx,
-                                ProtocolEvent::WriteAcked {
-                                    write: finalized.wid,
-                                },
-                            );
+                            self.ack_write(ctx, node, req, outcome, finalized.wid);
                         }
                         progressed = true;
                     }
                     Readiness::Stale => {
                         let entry = self.buffered.remove(index);
                         if let Some((node, req, _)) = entry.reply_to {
-                            self.send_reply(ctx, node, req, CallOutcome::Ok(Bytes::new()), None);
-                            self.trace_event(
-                                ctx,
-                                ProtocolEvent::WriteAcked {
-                                    write: entry.write.wid,
-                                },
-                            );
+                            let ok = CallOutcome::Ok(Bytes::new());
+                            self.ack_write(ctx, node, req, ok, entry.write.wid);
                         }
                         progressed = true;
                     }
@@ -1947,27 +1940,44 @@ impl StoreReplica {
             ReadSource::LocalPolicy
         };
         self.trace_event(ctx, ProtocolEvent::ReadServed { source });
-        self.send_reply(ctx, from, req, outcome, sees);
+        let reply = self.reply_msg(req, outcome, sees);
+        self.comm.send(ctx, from, &reply);
     }
 
-    fn send_reply(
-        &mut self,
-        ctx: &mut dyn NetCtx,
-        to: NodeId,
+    fn reply_msg(
+        &self,
         req: RequestId,
         outcome: CallOutcome,
         sees: Option<WriteId>,
-    ) {
+    ) -> CoherenceMsg {
         let full_state = (self.policy.access_transfer == crate::AccessTransfer::Full)
             .then(|| self.semantics.snapshot());
-        let reply = CoherenceMsg::Reply {
+        CoherenceMsg::Reply {
             req,
             outcome,
             version: self.applied.clone(),
             sees,
             full_state,
-        };
-        self.comm.send(ctx, to, &reply);
+        }
+    }
+
+    /// Acknowledges a client's write and journals the ack — at once, or,
+    /// inside a batch flush, once [`Self::flush_batch`] has fanned out.
+    fn ack_write(
+        &mut self,
+        ctx: &mut dyn NetCtx,
+        to: NodeId,
+        req: RequestId,
+        outcome: CallOutcome,
+        write: WriteId,
+    ) {
+        let reply = self.reply_msg(req, outcome, None);
+        if let Some(held) = &mut self.held_acks {
+            held.push((to, reply, write));
+        } else {
+            self.comm.send(ctx, to, &reply);
+            self.trace_event(ctx, ProtocolEvent::WriteAcked { write });
+        }
     }
 
     fn drain_queued_reads(&mut self, ctx: &mut dyn NetCtx) {

@@ -2,15 +2,20 @@
 //! the wire format, and arbitrary bytes never panic the decoder — a
 //! replica must survive any datagram the network hands it.
 
+use std::collections::BTreeSet;
+
 use bytes::Bytes;
-use globe_coherence::{ClientId, StoreId, VersionVector, WriteId};
+use globe_coherence::{ClientId, ObjectModel, StoreId, VersionVector, WriteId};
 use globe_core::{
-    CallOutcome, CoherenceMsg, InvocationMessage, LoggedWrite, MethodId, NetMsg, ReplicationPolicy,
-    RequestId,
+    AccessTransfer, CallOutcome, CoherenceMsg, CoherenceTransfer, InvocationMessage, LoggedWrite,
+    MethodId, NetMsg, OutdateReaction, Propagation, ReplicationPolicy, RequestId, StoreScope,
+    TransferInitiative, TransferInstant, WriteSet,
 };
 use globe_naming::ObjectId;
 use globe_net::NodeId;
 use proptest::prelude::*;
+use proptest::sample::select;
+use proptest::test_runner::TestRng;
 
 fn arb_vv() -> impl Strategy<Value = VersionVector> {
     proptest::collection::btree_map(0u32..6, 1u64..100, 0..6).prop_map(|m| {
@@ -111,9 +116,7 @@ fn arb_msg() -> impl Strategy<Value = CoherenceMsg> {
             client: ClientId::new(c),
             from_seq: s,
         }),
-        Just(CoherenceMsg::PolicyUpdate {
-            policy: ReplicationPolicy::conference_page(),
-        }),
+        arb_policy().prop_map(|policy| CoherenceMsg::PolicyUpdate { policy }),
         (0u32..8, 0u32..16, arb_class(), arb_vv()).prop_map(|(n, s, class, version)| {
             CoherenceMsg::JoinRequest {
                 node: NodeId::new(n),
@@ -236,6 +239,45 @@ fn arb_msg() -> impl Strategy<Value = CoherenceMsg> {
     ]
 }
 
+/// Any combination of the policy parameters, not only the ones
+/// `validate()` accepts: the codec carries whatever a peer sends.
+fn arb_policy() -> impl Strategy<Value = ReplicationPolicy> {
+    (
+        (
+            select(ObjectModel::ALL.to_vec()),
+            select(Propagation::ALL.to_vec()),
+            select(StoreScope::ALL.to_vec()),
+            select(WriteSet::ALL.to_vec()),
+            select(TransferInitiative::ALL.to_vec()),
+            select(TransferInstant::ALL.to_vec()),
+        ),
+        arb_duration(),
+        (
+            select(AccessTransfer::ALL.to_vec()),
+            select(CoherenceTransfer::ALL.to_vec()),
+            select(OutdateReaction::ALL.to_vec()),
+            select(OutdateReaction::ALL.to_vec()),
+        ),
+    )
+        .prop_map(|(a, lazy_period, b)| {
+            let (model, propagation, store_scope, write_set, initiative, instant) = a;
+            let (access_transfer, coherence_transfer, object_outdate, client_outdate) = b;
+            ReplicationPolicy {
+                model,
+                propagation,
+                store_scope,
+                write_set,
+                initiative,
+                instant,
+                lazy_period,
+                access_transfer,
+                coherence_transfer,
+                object_outdate,
+                client_outdate,
+            }
+        })
+}
+
 fn arb_duration() -> impl Strategy<Value = std::time::Duration> {
     (0u64..10_000_000).prop_map(std::time::Duration::from_micros)
 }
@@ -256,6 +298,20 @@ fn arb_class() -> impl Strategy<Value = globe_coherence::StoreClass> {
         globe_coherence::StoreClass::ObjectInitiated,
         globe_coherence::StoreClass::ClientInitiated,
     ])
+}
+
+/// The properties below only mean something for the frames `arb_msg`
+/// can draw: a frame added to the enum without a strategy arm fails
+/// here, by name.
+#[test]
+fn arb_msg_draws_every_frame_kind() {
+    let strategy = arb_msg();
+    let mut rng = TestRng::new(27);
+    let seen: BTreeSet<&str> = (0..2_000)
+        .map(|_| strategy.generate(&mut rng).kind_name())
+        .collect();
+    let declared: BTreeSet<&str> = CoherenceMsg::KINDS.iter().map(|(_, name)| *name).collect();
+    assert_eq!(seen, declared);
 }
 
 proptest! {

@@ -18,7 +18,7 @@ use globe_core::{
     PeerStore, RegisterDoc, ReplicationPolicy, RequestId, StoreConfig, StoreReplica,
 };
 use globe_naming::ObjectId;
-use globe_net::{Event, NodeId, SimNet, Topology};
+use globe_net::{Event, NetCtx, NodeId, SimNet, SimTime, TimerId, TimerToken, Topology};
 
 /// Captures every NetMsg delivered to a node.
 fn capture(net: &mut SimNet, node: NodeId) -> Rc<RefCell<Vec<(NodeId, CoherenceMsg)>>> {
@@ -31,6 +31,34 @@ fn capture(net: &mut SimNet, node: NodeId) -> Rc<RefCell<Vec<(NodeId, CoherenceM
         }
     });
     log
+}
+
+/// Passes everything through to the real context, noting each send's
+/// destination and frame kind in the order the engine issued it —
+/// delivery order says nothing about that once links add jitter.
+struct SendOrder<'a> {
+    inner: &'a mut dyn NetCtx,
+    sends: Vec<(NodeId, &'static str)>,
+}
+
+impl NetCtx for SendOrder<'_> {
+    fn node(&self) -> NodeId {
+        self.inner.node()
+    }
+    fn now(&self) -> SimTime {
+        self.inner.now()
+    }
+    fn send(&mut self, to: NodeId, payload: Bytes) {
+        let env: NetMsg = globe_wire::from_bytes(&payload).expect("valid frame");
+        self.sends.push((to, env.msg.kind_name()));
+        self.inner.send(to, payload);
+    }
+    fn set_timer(&mut self, delay: Duration, token: TimerToken) -> TimerId {
+        self.inner.set_timer(delay, token)
+    }
+    fn cancel_timer(&mut self, id: TimerId) {
+        self.inner.cancel_timer(id);
+    }
 }
 
 struct Rig {
@@ -417,6 +445,51 @@ fn group_commit_counters_and_trace_capture_flushes() {
     assert_eq!(staged, 3, "every batched write is staged exactly once");
     let violations = globe_core::TraceChecker::check(&snap);
     assert!(violations.is_empty(), "trace violations: {violations:?}");
+}
+
+/// A group commit hands the batch's fan-out to the transport before it
+/// sends any of the batch's acks, like the per-write path does: a home
+/// that dies right after acknowledging must not hold the only copy.
+#[test]
+fn group_commit_fans_out_before_it_acknowledges() {
+    let policy = ReplicationPolicy::builder(ObjectModel::Sequential)
+        .immediate()
+        .build()
+        .unwrap();
+    let tuning = globe_core::StoreTuning {
+        batch_max: 2,
+        ..globe_core::StoreTuning::default()
+    };
+    let mut r = rig_tuned(policy, true, tuning);
+    let (store, client_node, peer_node) = (&mut r.store, r.client_node, r.peer_node);
+    let sends = r.net.with_ctx(r.home_node, |ctx| {
+        let mut ctx = SendOrder {
+            inner: ctx,
+            sends: Vec::new(),
+        };
+        for seq in 1..=2 {
+            store.accept_write(
+                Some((client_node, RequestId::new(seq), ClientId::new(9))),
+                client_write(seq),
+                &mut ctx,
+            );
+        }
+        ctx.sends
+    });
+    let is_ack = |send: &(NodeId, &str)| *send == (client_node, "Reply");
+    let first_ack = sends.iter().position(is_ack);
+    let fanout = sends
+        .iter()
+        .position(|send| *send == (peer_node, "WriteBatch"));
+    assert_eq!(
+        sends.iter().filter(|send| is_ack(send)).count(),
+        2,
+        "both staged writes are acked: {sends:?}"
+    );
+    assert!(
+        fanout.is_some() && fanout < first_ack,
+        "the peer's WriteBatch must precede the first ack: {sends:?}"
+    );
 }
 
 #[test]

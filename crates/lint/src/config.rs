@@ -1,6 +1,6 @@
 //! Configuration files for the lint pass, parsed with a deliberately
 //! tiny TOML-subset reader (the build environment has no crates.io
-//! access, and the two config files only need string values, string
+//! access, and the config file only needs string values, string
 //! arrays, and `[section.sub]` tables).
 //!
 //! Supported grammar per line:
@@ -75,19 +75,6 @@ impl Doc {
     pub fn section_strings(&self, section: &str) -> BTreeMap<String, String> {
         let prefix = format!("{section}.");
         self.strings
-            .iter()
-            .filter_map(|(k, v)| {
-                k.strip_prefix(&prefix)
-                    .map(|rest| (rest.to_string(), v.clone()))
-            })
-            .collect()
-    }
-
-    /// All `section.key = [..]` arrays under one section, with the
-    /// section prefix stripped.
-    pub fn section_arrays(&self, section: &str) -> BTreeMap<String, Vec<String>> {
-        let prefix = format!("{section}.");
-        self.arrays
             .iter()
             .filter_map(|(k, v)| {
                 k.strip_prefix(&prefix)

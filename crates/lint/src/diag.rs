@@ -15,8 +15,6 @@ pub enum Rule {
     Time,
     /// A nested lock acquisition violating the declared partial order.
     LockOrder,
-    /// A wire frame missing an encode/decode/proptest/doc/trace arm.
-    WireFrame,
 }
 
 impl Rule {
@@ -26,7 +24,6 @@ impl Rule {
             Rule::Panic => "panic",
             Rule::Time => "time",
             Rule::LockOrder => "lock-order",
-            Rule::WireFrame => "wire-frame",
         }
     }
 }
@@ -43,23 +40,18 @@ pub struct Diagnostic {
     pub rule: Rule,
     /// Workspace-relative path.
     pub file: String,
-    /// 1-indexed line; 0 when the finding is file-level (e.g. a frame
-    /// missing from a whole file).
+    /// 1-indexed line.
     pub line: u32,
     pub message: String,
 }
 
 impl fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.line == 0 {
-            write!(f, "{}: [{}] {}", self.file, self.rule, self.message)
-        } else {
-            write!(
-                f,
-                "{}:{}: [{}] {}",
-                self.file, self.line, self.rule, self.message
-            )
-        }
+        write!(
+            f,
+            "{}:{}: [{}] {}",
+            self.file, self.line, self.rule, self.message
+        )
     }
 }
 

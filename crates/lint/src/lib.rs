@@ -1,6 +1,6 @@
 //! `globe-lint` — the repo-native static-analysis pass.
 //!
-//! Four rules, all built on one hand-rolled lexer (strings, char
+//! Three rules, all built on one hand-rolled lexer (strings, char
 //! literals, and comments are skipped correctly — no regex-over-source
 //! false positives):
 //!
@@ -9,11 +9,7 @@
 //! - **time** — no raw `-`/`duration_since` on time-named operands
 //!   outside the clock implementation (`net/src/time.rs`);
 //! - **lock-order** — nested `.lock()` pairs in the runtime files must
-//!   follow the partial order declared in `crates/lint/lock_order.toml`;
-//! - **wire-frame** — every `CoherenceMsg` variant must have encode +
-//!   decode arms with matching tags, proptest coverage, an
-//!   ARCHITECTURE.md mention, and a trace story (or exemption) in
-//!   `crates/lint/frame_trace.toml`.
+//!   follow the partial order declared in `crates/lint/lock_order.toml`.
 //!
 //! Suppression grammar: `// lint: allow(<rule>) — <reason>` on the
 //! offending line or the line above. The reason is mandatory; a bare
@@ -29,7 +25,6 @@ use std::path::{Path, PathBuf};
 
 use diag::{Diagnostic, Rule};
 use rules::locks::LockConfig;
-use rules::wire::WireInputs;
 
 /// Crates whose `src/` trees are bound by the panic and time rules.
 pub const PROTOCOL_CRATES: &[&str] = &["core", "net", "wire", "coherence"];
@@ -54,7 +49,6 @@ const TIME_IMPL: &str = "crates/net/src/time.rs";
 pub fn run(root: &Path) -> Result<Vec<Diagnostic>, String> {
     let lock_doc = read_doc(root, "crates/lint/lock_order.toml")?;
     let lock_cfg = LockConfig::from_doc(&lock_doc)?;
-    let frame_cfg = read_doc(root, "crates/lint/frame_trace.toml")?;
 
     let mut diags = Vec::new();
 
@@ -75,26 +69,6 @@ pub fn run(root: &Path) -> Result<Vec<Diagnostic>, String> {
         }
     }
 
-    // The wire rule is a cross-file check; allow comments do not apply
-    // (a missing surface has no single line to hang an allow on —
-    // exemptions live in frame_trace.toml instead).
-    let messages = read_lexed(root, "crates/core/src/messages.rs")?;
-    let proptest = read_lexed(root, "crates/core/tests/proptest_messages.rs")?;
-    let trace_src = read(root, "crates/core/src/trace.rs")?;
-    let arch_src = read(root, "docs/ARCHITECTURE.md")?;
-    diags.extend(rules::wire::check(&WireInputs {
-        messages: &messages,
-        messages_path: "crates/core/src/messages.rs",
-        proptest: &proptest,
-        proptest_path: "crates/core/tests/proptest_messages.rs",
-        trace_src: &trace_src,
-        trace_path: "crates/core/src/trace.rs",
-        arch_src: &arch_src,
-        arch_path: "docs/ARCHITECTURE.md",
-        frame_cfg: &frame_cfg,
-        frame_cfg_path: "crates/lint/frame_trace.toml",
-    }));
-
     diags.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     Ok(diags)
 }
@@ -103,25 +77,17 @@ pub fn run(root: &Path) -> Result<Vec<Diagnostic>, String> {
 pub fn summarize(diags: &[Diagnostic]) -> String {
     let count = |r: Rule| diags.iter().filter(|d| d.rule == r).count();
     format!(
-        "{} finding(s): {} panic, {} time, {} lock-order, {} wire-frame",
+        "{} finding(s): {} panic, {} time, {} lock-order",
         diags.len(),
         count(Rule::Panic),
         count(Rule::Time),
         count(Rule::LockOrder),
-        count(Rule::WireFrame),
     )
 }
 
-fn read(root: &Path, rel: &str) -> Result<String, String> {
-    std::fs::read_to_string(root.join(rel)).map_err(|e| format!("read {rel}: {e}"))
-}
-
-fn read_lexed(root: &Path, rel: &str) -> Result<lexer::Lexed, String> {
-    Ok(lexer::lex(&read(root, rel)?))
-}
-
 fn read_doc(root: &Path, rel: &str) -> Result<config::Doc, String> {
-    config::Doc::parse(&read(root, rel)?).map_err(|e| format!("{rel}: {e}"))
+    let src = std::fs::read_to_string(root.join(rel)).map_err(|e| format!("read {rel}: {e}"))?;
+    config::Doc::parse(&src).map_err(|e| format!("{rel}: {e}"))
 }
 
 fn rel_path(root: &Path, file: &Path) -> String {

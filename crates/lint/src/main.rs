@@ -22,7 +22,7 @@ fn main() -> ExitCode {
             "--json" => json = true,
             "--help" | "-h" => {
                 println!(
-                    "globe-lint: repo-native static analysis (panic, time, lock-order, wire-frame)\n\n\
+                    "globe-lint: repo-native static analysis (panic, time, lock-order)\n\n\
                      USAGE: globe-lint --check [--json]\n\n\
                      Exits 0 when the workspace is clean, 1 on findings, 2 on config errors.\n\
                      Suppress a finding with `// lint: allow(<rule>) — <reason>` (reason mandatory)."
@@ -53,7 +53,7 @@ fn main() -> ExitCode {
             if json {
                 println!("{}", globe_lint::diag::to_json(&diags));
             } else {
-                println!("globe-lint: clean (panic, time, lock-order, wire-frame)");
+                println!("globe-lint: clean (panic, time, lock-order)");
             }
             ExitCode::SUCCESS
         }

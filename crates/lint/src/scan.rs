@@ -156,14 +156,13 @@ pub fn apply_allows(file: &str, lexed: &Lexed, mut diags: Vec<Diagnostic>) -> Ve
             "panic" => Rule::Panic,
             "time" => Rule::Time,
             "lock-order" => Rule::LockOrder,
-            "wire-frame" => Rule::WireFrame,
             other => {
                 diags.push(Diagnostic {
                     rule: Rule::Panic,
                     file: file.to_string(),
                     line: a.line,
                     message: format!(
-                        "allow comment names unknown rule `{other}` (known: panic, time, lock-order, wire-frame)"
+                        "allow comment names unknown rule `{other}` (known: panic, time, lock-order)"
                     ),
                 });
                 continue;

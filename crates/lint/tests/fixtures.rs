@@ -12,7 +12,6 @@ use globe_lint::config::Doc;
 use globe_lint::diag::{Diagnostic, Rule};
 use globe_lint::lexer::lex;
 use globe_lint::rules::locks::LockConfig;
-use globe_lint::rules::wire::WireInputs;
 use globe_lint::{rules, scan};
 
 fn fixture(name: &str) -> String {
@@ -92,52 +91,6 @@ fn lock_fixture_exact_findings() {
     );
     assert!(diags[0].message.contains("inversion"));
     assert!(diags[1].message.contains("re-entry"));
-}
-
-#[test]
-fn wire_fixture_exact_findings() {
-    let messages = lex(&fixture("wire_messages.rs"));
-    let proptest = lex("fn arb() { CoherenceMsg::Ping { n }; CoherenceMsg::Pong { n }; }");
-    let frame_cfg = Doc::parse(
-        "[frames]\nPing = [\"ping_seen\"]\n[exempt]\nPong = \"fixture: liveness only\"\n",
-    )
-    .expect("frame cfg");
-    let diags = rules::wire::check(&WireInputs {
-        messages: &messages,
-        messages_path: "wire_messages.rs",
-        proptest: &proptest,
-        proptest_path: "prop.rs",
-        trace_src: "fn kind() { \"ping_seen\" }",
-        trace_path: "trace.rs",
-        arch_src: "`Ping` and `Pong` frames are documented; Orphan and Skewed too.",
-        arch_path: "ARCH.md",
-        frame_cfg: &frame_cfg,
-        frame_cfg_path: "frame_trace.toml",
-    });
-    // Orphan (enum line 10): no decode arm, no proptest, no trace story.
-    // Skewed (enum line 11): tag skew 3→9, no proptest, no trace story.
-    let orphan: Vec<&Diagnostic> = diags
-        .iter()
-        .filter(|d| d.message.contains("Orphan"))
-        .collect();
-    let skewed: Vec<&Diagnostic> = diags
-        .iter()
-        .filter(|d| d.message.contains("Skewed"))
-        .collect();
-    assert_eq!(orphan.len(), 3, "diags: {diags:#?}");
-    assert!(orphan
-        .iter()
-        .any(|d| d.message.contains("no decode arm") && d.line == 10));
-    assert_eq!(skewed.len(), 3, "diags: {diags:#?}");
-    assert!(skewed
-        .iter()
-        .any(|d| d.message.contains("encodes tag 3 but decodes tag 9") && d.line == 11));
-    assert_eq!(
-        diags.len(),
-        orphan.len() + skewed.len(),
-        "diags: {diags:#?}"
-    );
-    assert!(diags.iter().all(|d| d.rule == Rule::WireFrame));
 }
 
 /// The gate's promise: the shipped workspace is clean, with every allow

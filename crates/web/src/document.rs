@@ -6,8 +6,8 @@
 
 use std::collections::BTreeMap;
 
-use bytes::{Buf, BufMut, Bytes};
-use globe_wire::{WireDecode, WireEncode, WireError};
+use bytes::Bytes;
+use globe_wire::wire_record;
 
 /// One page (or embedded resource) of a Web document.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,24 +36,7 @@ impl Page {
     }
 }
 
-impl WireEncode for Page {
-    fn encode<B: BufMut>(&self, buf: &mut B) {
-        self.content_type.encode(buf);
-        self.body.encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        self.content_type.encoded_len() + self.body.encoded_len()
-    }
-}
-
-impl WireDecode for Page {
-    fn decode<B: Buf>(buf: &mut B) -> Result<Self, WireError> {
-        Ok(Page {
-            content_type: String::decode(buf)?,
-            body: Bytes::decode(buf)?,
-        })
-    }
-}
+wire_record!(Page { content_type, body });
 
 /// The complete page set of a Web document.
 ///
@@ -136,22 +119,7 @@ impl WebDocument {
     }
 }
 
-impl WireEncode for WebDocument {
-    fn encode<B: BufMut>(&self, buf: &mut B) {
-        self.pages.encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        self.pages.encoded_len()
-    }
-}
-
-impl WireDecode for WebDocument {
-    fn decode<B: Buf>(buf: &mut B) -> Result<Self, WireError> {
-        Ok(WebDocument {
-            pages: BTreeMap::decode(buf)?,
-        })
-    }
-}
+wire_record!(WebDocument { pages });
 
 impl FromIterator<(String, Page)> for WebDocument {
     fn from_iter<I: IntoIterator<Item = (String, Page)>>(iter: I) -> Self {
@@ -203,5 +171,10 @@ mod tests {
         doc.put("logo.png", Page::with_type("image/png", vec![1, 2, 3]));
         let bytes = globe_wire::to_bytes(&doc);
         assert_eq!(globe_wire::from_bytes::<WebDocument>(&bytes).unwrap(), doc);
+        // Path, then content type, then body, per page in path order.
+        assert_eq!(
+            &bytes[..],
+            b"\x02\x0aindex.html\x09text/html\x09<p>hi</p>\x08logo.png\x09image/png\x03\x01\x02\x03"
+        );
     }
 }

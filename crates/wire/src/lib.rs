@@ -471,6 +471,119 @@ macro_rules! wire_enum {
     };
 }
 
+/// Implements [`WireEncode`]/[`WireDecode`] for a struct as the plain
+/// sequence of the listed fields, in list order. The struct is declared
+/// as ordinary Rust; decode infers each field's type from it, and a
+/// field missing from the list is a compile error.
+///
+/// ```
+/// #[derive(Debug, PartialEq)]
+/// pub struct Stamp { pub counter: u64, pub node: u32 }
+/// globe_wire::wire_record!(Stamp { counter, node });
+///
+/// let b = globe_wire::to_bytes(&Stamp { counter: 5, node: 7 });
+/// assert_eq!(&b[..], [5, 0, 0, 0, 7]);
+/// assert_eq!(globe_wire::from_bytes::<Stamp>(&b), Ok(Stamp { counter: 5, node: 7 }));
+/// ```
+#[macro_export]
+macro_rules! wire_record {
+    ($name:ident { $($field:ident),+ $(,)? }) => {
+        impl $crate::WireEncode for $name {
+            fn encode<B: bytes::BufMut>(&self, buf: &mut B) {
+                let $name { $($field),+ } = self;
+                $( $crate::WireEncode::encode($field, buf); )+
+            }
+            fn encoded_len(&self) -> usize {
+                let $name { $($field),+ } = self;
+                0 $( + $crate::WireEncode::encoded_len($field) )+
+            }
+        }
+
+        impl $crate::WireDecode for $name {
+            fn decode<B: bytes::Buf>(buf: &mut B) -> Result<Self, $crate::WireError> {
+                Ok($name { $( $field: $crate::WireDecode::decode(buf)?, )+ })
+            }
+        }
+    };
+}
+
+/// Implements the codec of an enum of struct-like variants from one
+/// `tag => Variant { fields }` table: a one-byte tag, then the listed
+/// fields in list order. Also generates `KINDS`, `tag()` and
+/// `kind_name()`. The enum is declared as ordinary Rust; a variant
+/// missing from the table, a field missing from its row, or a tag used
+/// twice is a compile error.
+///
+/// ```
+/// #[derive(Debug, PartialEq)]
+/// pub enum Probe { Ping { seq: u64 }, Pong { seq: u64, load: u8 } }
+/// globe_wire::wire_tagged!(Probe { 0 => Ping { seq }, 1 => Pong { seq, load } });
+///
+/// let pong = Probe::Pong { seq: 9, load: 3 };
+/// assert_eq!((pong.tag(), pong.kind_name()), (1, "Pong"));
+/// assert_eq!(Probe::KINDS, [(0, "Ping"), (1, "Pong")]);
+/// let b = globe_wire::to_bytes(&pong);
+/// assert_eq!(&b[..], [1, 9, 3]);
+/// assert_eq!(globe_wire::from_bytes::<Probe>(&b), Ok(pong));
+/// assert!(globe_wire::from_bytes::<Probe>(&[2, 0]).is_err());
+/// ```
+#[macro_export]
+macro_rules! wire_tagged {
+    ($name:ident { $( $tag:literal => $variant:ident { $($field:ident),+ $(,)? } ),+ $(,)? }) => {
+        impl $name {
+            /// `(tag byte, variant name)` of every variant, in table order.
+            pub const KINDS: &'static [(u8, &'static str)] =
+                &[ $( ($tag, stringify!($variant)), )+ ];
+
+            /// The byte that announces this variant on the wire.
+            pub fn tag(&self) -> u8 {
+                match self { $( $name::$variant { .. } => $tag, )+ }
+            }
+
+            /// Short name of the variant, for traffic accounting.
+            pub fn kind_name(&self) -> &'static str {
+                match self { $( $name::$variant { .. } => stringify!($variant), )+ }
+            }
+        }
+
+        impl $crate::WireEncode for $name {
+            fn encode<B: bytes::BufMut>(&self, buf: &mut B) {
+                match self {
+                    $( $name::$variant { $($field),+ } => {
+                        buf.put_u8($tag);
+                        $( $crate::WireEncode::encode($field, buf); )+
+                    } )+
+                }
+            }
+            fn encoded_len(&self) -> usize {
+                match self {
+                    $( $name::$variant { $($field),+ } => {
+                        1 $( + $crate::WireEncode::encoded_len($field) )+
+                    } )+
+                }
+            }
+        }
+
+        impl $crate::WireDecode for $name {
+            #[deny(unreachable_patterns)] // a tag used twice
+            fn decode<B: bytes::Buf>(buf: &mut B) -> Result<Self, $crate::WireError> {
+                if !buf.has_remaining() {
+                    return Err($crate::WireError::Truncated { needed: 1, remaining: 0 });
+                }
+                match buf.get_u8() {
+                    $( $tag => Ok($name::$variant {
+                        $( $field: $crate::WireDecode::decode(buf)?, )+
+                    }), )+
+                    tag => Err($crate::WireError::InvalidTag {
+                        type_name: stringify!($name),
+                        tag,
+                    }),
+                }
+            }
+        }
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
