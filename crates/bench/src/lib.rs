@@ -13,16 +13,14 @@
 //! | §3.2 model cost claims | `models_compare` |
 //! | §4.2 reliability-from-coherence | `reliability_pram` |
 //! | §5 self-adaptive policies (ablation) | `adaptive` |
-//! | shard backend scaling trajectory | `shard_scaling` |
 //! | replica kill → first consistent read | `recovery_latency` |
 //! | load-engine saturation sweep per backend | `saturate` |
 //!
 //! Run any of them with `cargo run -p globe-bench --release --bin <name>`.
-//! Criterion micro-benchmarks live under `benches/`. `shard_scaling`,
-//! `recovery_latency`, and `saturate` additionally emit machine-readable
-//! trajectories (`BENCH_shard.json`, `BENCH_recovery.json`,
-//! `BENCH_saturate.json`; see [`json`]) and accept `--smoke` for the
-//! quick CI configuration.
+//! Criterion micro-benchmarks live under `benches/`. `recovery_latency`
+//! and `saturate` additionally emit machine-readable trajectories
+//! (`BENCH_recovery.json`, `BENCH_saturate.json`; see [`json`]) and
+//! accept `--smoke` for the quick CI configuration.
 
 #![warn(missing_docs)]
 

@@ -43,6 +43,10 @@ pub trait Plane {
     /// the node's endpoint is caller-driven (its event loop owns it
     /// otherwise, and `f` gets `None`). Returns `None` for an unknown
     /// node.
+    ///
+    /// What `f` sends is in flight when `enter` returns on the simulator
+    /// and on TCP; on the sharded backend it has been handled, along
+    /// with everything handling it sent, on the calling thread.
     fn enter<R>(
         &self,
         object: ObjectId,
@@ -63,8 +67,9 @@ pub trait Plane {
     }
 
     /// Handles, without blocking, whatever the transport has already
-    /// delivered to a caller-driven `node`. A no-op where the fabric's
-    /// own threads handle every event.
+    /// delivered to a caller-driven `node`. A no-op where nothing waits
+    /// for the caller: the simulator steps in [`Fabric::pump`], and the
+    /// sharded backend leaves no frame unhandled behind a lane lock.
     fn drain(&self, _node: NodeId) {}
 }
 
@@ -124,9 +129,10 @@ pub trait Fabric {
 
     /// Makes progress on behalf of a call pending at `node`: one
     /// simulation step, a wait on (with `block`) or a drain of (without)
-    /// the node's socket inbox, or a short back-off while the lane
-    /// workers run. Returns `false` when nothing is left that could ever
-    /// complete the call.
+    /// the node's socket inbox, or — on the sharded backend, where a call
+    /// still pending after it was issued waits on a timer — a short
+    /// back-off that lets the lane's worker take the lane lock. Returns
+    /// `false` when nothing is left that could ever complete the call.
     fn pump(&mut self, node: NodeId, block: bool) -> bool;
 
     /// Starts the fabric's threads, keeping `client_nodes` caller-driven.

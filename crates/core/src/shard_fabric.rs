@@ -2,29 +2,40 @@
 //!
 //! [`GlobeShard`] is the third backend behind [`crate::GlobeRuntime`],
 //! built for throughput on one machine: objects hash-partition across N
-//! lanes — real worker threads fed by channels — and each lane owns every
-//! replica (control object, store, sessions) of the objects in its slice
-//! of the object space. Within a lane the full replication/semantics
-//! machinery of the simulator runs unchanged; across lanes, independent
-//! objects make progress in parallel, so a multi-object workload scales
-//! with the lane count instead of being serialized through one event
-//! loop.
+//! lanes, and each lane owns every replica (control object, store,
+//! sessions) of the objects in its slice of the object space, behind one
+//! lock. Within a lane the full replication/semantics machinery of the
+//! simulator runs unchanged; across lanes, independent objects make
+//! progress in parallel.
 //!
 //! Routing is by *object*, not by node: a message addressed to node X
-//! about object O is delivered to the worker owning O, which handles it
-//! inside its own copy of X's address space. That keeps each object's
-//! protocol single-threaded (no per-object races to reason about) while
-//! letting the set of objects exploit every core. Timers come from the
-//! shared wall-clock [`globe_net::timer::WallTimer`] service, exactly as
-//! in the TCP fabric.
+//! about object O is handled in the lane owning O, inside that lane's
+//! copy of X's address space. That keeps each object's protocol
+//! single-threaded (no per-object races to reason about).
 //!
-//! Unlike [`crate::GlobeTcp`], no node is caller-driven: every event is
-//! handled by a lane worker, and the caller's thread only issues calls
-//! and polls results. Every space sits behind its lane's lock rather than
-//! captive on an event-loop thread, so the caller may act as any node at
-//! any time and lifecycle operations need no relay.
+//! Delivery is *run to completion*: a frame a handler sends about an
+//! object of the lane it is running in joins the lane's run queue, and
+//! whichever thread holds the lane lock handles the queue, first in
+//! first out, until it is empty before it lets the lock go — so the run
+//! queue is empty whenever the lock is free. A client call therefore
+//! returns with everything it caused (ordering, fan-out, every mirror's
+//! apply, the acknowledgement) already done on the caller's thread, as on
+//! the simulator, and never waits for another thread to wake up. Each
+//! lane also has a worker thread fed by a channel: it serves what does
+//! not start on a caller's thread — timer events from the shared
+//! wall-clock [`globe_net::timer::WallTimer`] (heartbeats, batch flushes,
+//! lazy pushes, retransmissions, leases) and injected frames — and runs
+//! what those produce to completion the same way.
+//!
+//! The unit of parallelism is thus one caller thread per lane: N threads
+//! calling into N lanes run in parallel, while one thread spreading
+//! asynchronous calls over many lanes executes them one after another
+//! on itself (a few microseconds each, against the tens a hand-off to a
+//! worker thread costs). Every space sits behind its lane's lock rather
+//! than captive on an event-loop thread, so the caller may act as any
+//! node at any time and lifecycle operations need no relay.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -37,7 +48,7 @@ use globe_naming::ObjectId;
 use globe_net::timer::WallTimer;
 use globe_net::{Event, NetCtx, NodeId, RegionId, SimTime, TimerId, TimerToken};
 use globe_wire::WireDecode;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::fabric::{Fabric, Plane};
 use crate::lifecycle::DetectorConfig;
@@ -46,19 +57,59 @@ use crate::{AddressSpace, Driver, EnginePort, RuntimeConfig, RuntimeError, Share
 /// Default number of shard workers when none is requested.
 pub const DEFAULT_SHARDS: usize = 4;
 
-/// How long the caller sleeps between result polls, so a tight poll loop
-/// cannot starve the lane workers of their space locks.
+/// How long the caller sleeps between polls of a result that was not
+/// ready when its call returned. Such a result waits on a timer (a batch
+/// window, a lazy push, a retransmission), which the lane's worker
+/// serves; a tight poll loop would starve the worker of the lane lock.
 const POLL_BACKOFF: Duration = Duration::from_micros(200);
 
-/// An event en route to a lane worker: which node's address space must
-/// handle it, and the event itself.
+/// An event for a lane: which node's address space must handle it, and
+/// the event itself.
 type ShardEvent = (NodeId, Event);
 
-/// The state one lane owns: its copy of every node's [`AddressSpace`],
-/// holding only the control objects of this lane's objects.
-type ShardSpaces = Arc<Mutex<HashMap<NodeId, AddressSpace>>>;
+/// The state one lane owns, behind the lane's lock.
+#[derive(Default)]
+struct Lane {
+    /// The lane's copy of every node's [`AddressSpace`], holding only the
+    /// control objects of this lane's objects.
+    spaces: HashMap<NodeId, AddressSpace>,
+    /// Frames sent inside the lane and not yet handled. Empty whenever
+    /// the lane lock is free: whoever holds the lock calls
+    /// [`Lane::run_to_completion`] before releasing it. One queue, never
+    /// spilled into the inbox mid-drain, so frames about an object stay
+    /// in the order they were sent — the FIFO link every replication
+    /// object assumes.
+    run: VecDeque<ShardEvent>,
+}
 
-/// Shared routing: one inbox per lane plus the timer service.
+impl Lane {
+    /// Handles queued frames, and the frames handling them sends, until
+    /// none is left.
+    fn run_to_completion(&mut self, index: usize, router: &Arc<ShardRouter>) {
+        while let Some((node, event)) = self.run.pop_front() {
+            if let Some(space) = self.spaces.get_mut(&node) {
+                let mut ctx = ShardCtx {
+                    node,
+                    lane: index,
+                    run: &mut self.run,
+                    router,
+                };
+                space.handle_event(event, &mut ctx);
+            }
+        }
+    }
+}
+
+type ShardLane = Arc<Mutex<Lane>>;
+
+/// Takes a lane's lock, checking the invariant every holder restores.
+fn lock_lane(lane: &ShardLane) -> MutexGuard<'_, Lane> {
+    let lane = lane.lock();
+    debug_assert!(lane.run.is_empty(), "a lane was released mid-run");
+    lane
+}
+
+/// Shared routing: one inbox per lane worker plus the timer service.
 struct ShardRouter {
     inboxes: Vec<Sender<ShardEvent>>,
     timer: Arc<WallTimer>,
@@ -78,6 +129,20 @@ impl ShardRouter {
         (object.raw() % self.inboxes.len() as u64) as usize
     }
 
+    /// The object a frame is about. The wire envelope leads with the
+    /// object id; peeking it is enough to pick the owning lane without
+    /// decoding the message.
+    fn frame_object(&self, payload: &Bytes) -> Option<ObjectId> {
+        let mut cursor: &[u8] = payload;
+        let object = ObjectId::decode(&mut cursor).ok();
+        if object.is_none() {
+            // Corrupt frame: drop, like a bad datagram, but observably.
+            self.metrics.lock().record_malformed_frame();
+        }
+        object
+    }
+
+    /// Hands an event to the worker of the lane owning `object`.
     fn deliver(&self, object: ObjectId, node: NodeId, event: Event) {
         // A send can only fail after shutdown, when the receivers are
         // gone; dropping the event then is correct.
@@ -90,9 +155,11 @@ impl ShardRouter {
 }
 
 /// [`NetCtx`] for protocol code running on behalf of one node inside a
-/// lane (or on the caller's thread while it acts as that node).
+/// lane, on whichever thread holds the lane's lock.
 struct ShardCtx<'a> {
     node: NodeId,
+    lane: usize,
+    run: &'a mut VecDeque<ShardEvent>,
     router: &'a Arc<ShardRouter>,
 }
 
@@ -106,28 +173,27 @@ impl NetCtx for ShardCtx<'_> {
     }
 
     fn send(&mut self, to: NodeId, payload: Bytes) {
-        // The wire envelope leads with the object id; peeking it is
-        // enough to pick the owning lane without decoding the message.
-        let mut cursor: &[u8] = &payload;
-        let Ok(object) = ObjectId::decode(&mut cursor) else {
-            // Corrupt frame: drop, like a bad datagram, but observably.
-            self.router.metrics.lock().record_malformed_frame();
+        let Some(object) = self.router.frame_object(&payload) else {
             return;
         };
-        self.router.deliver(
-            object,
-            to,
-            Event::Message {
-                from: self.node,
-                payload,
-            },
-        );
+        let event = Event::Message {
+            from: self.node,
+            payload,
+        };
+        if self.router.shard_of(object) == self.lane {
+            self.run.push_back((to, event));
+        } else {
+            self.router.deliver(object, to, event);
+        }
     }
 
     fn set_timer(&mut self, delay: Duration, token: TimerToken) -> TimerId {
         let (object, _) = crate::space::decode_timer(token);
         let node = self.node;
         let router = Arc::clone(self.router);
+        // The closure only hands the event to the lane's worker. It runs
+        // under the timer service's heap lock, and this method runs under
+        // the lane lock, so a closure that took the lane would deadlock.
         self.router.timer.arm(delay, move || {
             router.deliver(object, node, Event::Timer { token })
         })
@@ -138,9 +204,12 @@ impl NetCtx for ShardCtx<'_> {
     }
 }
 
+/// A lane's worker: handles what arrives through the inbox — timer
+/// events and injected frames — and everything that produces.
 fn shard_loop(
     inbox: Receiver<ShardEvent>,
-    lane: ShardSpaces,
+    index: usize,
+    lane: ShardLane,
     router: Arc<ShardRouter>,
     shutdown: Arc<AtomicBool>,
 ) {
@@ -149,15 +218,10 @@ fn shard_loop(
             return;
         }
         match inbox.recv_timeout(Duration::from_millis(20)) {
-            Ok((node, event)) => {
-                let mut lane = lane.lock();
-                if let Some(space) = lane.get_mut(&node) {
-                    let mut ctx = ShardCtx {
-                        node,
-                        router: &router,
-                    };
-                    space.handle_event(event, &mut ctx);
-                }
+            Ok(event) => {
+                let mut lane = lock_lane(&lane);
+                lane.run.push_back(event);
+                lane.run_to_completion(index, &router);
             }
             Err(RecvTimeoutError::Timeout) => continue,
             Err(RecvTimeoutError::Disconnected) => return,
@@ -171,34 +235,36 @@ fn shard_loop(
 /// only when their objects share a lane.
 #[derive(Clone)]
 pub struct ShardPlane {
-    lanes: Vec<ShardSpaces>,
+    lanes: Vec<ShardLane>,
     router: Arc<ShardRouter>,
 }
 
-impl ShardPlane {
-    fn lane(&self, object: ObjectId) -> &ShardSpaces {
-        &self.lanes[self.router.shard_of(object)]
-    }
-}
-
 impl Plane for ShardPlane {
+    /// Runs `f`, then everything `f` sent, on the calling thread before
+    /// the lane lock is released.
     fn enter<R>(
         &self,
         object: ObjectId,
         node: NodeId,
         f: impl FnOnce(&mut AddressSpace, Option<&mut dyn NetCtx>) -> R,
     ) -> Option<R> {
-        let mut lane = self.lane(object).lock();
-        let space = lane.get_mut(&node)?;
+        let index = self.router.shard_of(object);
+        let mut lane = lock_lane(&self.lanes[index]);
+        let Lane { spaces, run } = &mut *lane;
         let mut ctx = ShardCtx {
             node,
+            lane: index,
+            run,
             router: &self.router,
         };
-        Some(f(space, Some(&mut ctx)))
+        let result = f(spaces.get_mut(&node)?, Some(&mut ctx));
+        lane.run_to_completion(index, &self.router);
+        Some(result)
     }
 }
 
-/// The channel-and-worker fabric: one thread per lane.
+/// The run-to-completion fabric: one lock, one run queue and one timer
+/// worker per lane.
 pub struct ShardFabric {
     plane: ShardPlane,
     receivers: Vec<Option<Receiver<ShardEvent>>>,
@@ -225,7 +291,7 @@ impl ShardFabric {
         }
         ShardFabric {
             plane: ShardPlane {
-                lanes: (0..shards).map(|_| ShardSpaces::default()).collect(),
+                lanes: (0..shards).map(|_| ShardLane::default()).collect(),
                 router: Arc::new(ShardRouter {
                     inboxes,
                     timer,
@@ -260,7 +326,7 @@ impl Fabric for ShardFabric {
         for (scope, lane) in self.plane.lanes.iter().enumerate() {
             let space =
                 AddressSpace::with_scope(node, metrics.clone(), self.detector, scope as u64);
-            lane.lock().insert(node, space);
+            lock_lane(lane).spaces.insert(node, space);
         }
         Ok(node)
     }
@@ -271,7 +337,7 @@ impl Fabric for ShardFabric {
 
     fn each_space(&self, f: &mut dyn FnMut(&mut AddressSpace)) {
         for lane in &self.plane.lanes {
-            for space in lane.lock().values_mut() {
+            for space in lock_lane(lane).spaces.values_mut() {
                 f(space);
             }
         }
@@ -281,17 +347,18 @@ impl Fabric for ShardFabric {
         self.plane.router.now()
     }
 
-    /// Progress is autonomous (the lane workers run on their own
-    /// threads, started here if nothing started them yet); back off
-    /// briefly so a tight poll loop cannot starve them of the lane lock.
+    /// A call still pending after it was issued waits on a timer, which
+    /// the lane workers serve (started here if nothing started them yet);
+    /// back off briefly so a tight poll loop cannot starve them of the
+    /// lane lock.
     fn pump(&mut self, _node: NodeId, _block: bool) -> bool {
         self.start(&[]);
         std::thread::sleep(POLL_BACKOFF);
         true
     }
 
-    /// Spawns the lane workers. `client_nodes` is ignored: no node is
-    /// caller-driven here.
+    /// Spawns the lane workers. `client_nodes` is ignored: the caller
+    /// may act as every node.
     fn start(&mut self, _client_nodes: &[NodeId]) {
         if self.started {
             return;
@@ -304,7 +371,7 @@ impl Fabric for ShardFabric {
             let stop = Arc::clone(&self.stop);
             match std::thread::Builder::new()
                 .name(format!("globe-shard-{index}"))
-                .spawn(move || shard_loop(inbox, lane, router, stop))
+                .spawn(move || shard_loop(inbox, index, lane, router, stop))
             {
                 Ok(handle) => self.threads.push(handle),
                 // Degrade observably: the lane stays dark, the failure
@@ -314,8 +381,9 @@ impl Fabric for ShardFabric {
         }
     }
 
-    /// Stops the workers and the timer service. Idempotent; calls after
-    /// shutdown fail with [`crate::CallError::TimedOut`].
+    /// Stops the workers and the timer service. Idempotent. A call made
+    /// after shutdown still runs what it sends, but whatever it leaves to
+    /// a timer never happens: it fails with [`crate::CallError::TimedOut`].
     fn shutdown(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         self.plane.router.timer.stop();
@@ -324,14 +392,14 @@ impl Fabric for ShardFabric {
         }
     }
 
-    /// The workers run in real time; let the wall clock advance.
+    /// Timers fire in real time; let the wall clock advance.
     fn settle(&mut self, d: Duration) {
         self.start(&[]);
         std::thread::sleep(d);
     }
 
     /// The port issues into live machinery; make sure the workers that
-    /// provide progress are running.
+    /// serve its timers are running.
     fn engine_port(&mut self) -> Option<Arc<dyn EnginePort>> {
         self.start(&[]);
         Some(Arc::new(self.plane.clone()))
@@ -354,14 +422,14 @@ impl fmt::Debug for ShardFabric {
     }
 }
 
-/// The Globe middleware sharded across in-process worker threads.
+/// The Globe middleware sharded across in-process lanes.
 ///
 /// Build phase is identical to the other runtimes: add nodes, create
 /// objects, bind clients. [`crate::GlobeRuntime::start`] spawns the lane
 /// workers (polling for a result starts them implicitly, so the polling
-/// contract of [`crate::GlobeRuntime::result`] holds regardless); the
-/// caller's thread drives client calls and the workers do everything
-/// else.
+/// contract of [`crate::GlobeRuntime::result`] holds regardless); a
+/// client call runs everything it causes on the caller's thread, and the
+/// workers run what timers cause.
 ///
 /// # Examples
 ///
@@ -423,11 +491,14 @@ impl Driver<ShardFabric> {
     /// use to exercise the malformed-frame drop path.
     #[doc(hidden)]
     pub fn inject_frame(&mut self, node: NodeId, to: NodeId, payload: Bytes) {
-        let mut ctx = ShardCtx {
-            node,
-            router: &self.fabric.plane.router,
-        };
-        ctx.send(to, payload);
+        let router = &self.fabric.plane.router;
+        if let Some(object) = router.frame_object(&payload) {
+            let event = Event::Message {
+                from: node,
+                payload,
+            };
+            router.deliver(object, to, event);
+        }
     }
 }
 
