@@ -138,9 +138,10 @@ pub struct RuntimeConfig {
     /// journal.
     pub trace_capacity: usize,
     /// Cap on retained per-operation latency samples in the metrics
-    /// store (`0` = unbounded, the historical default). Long open-loop
-    /// engine runs should set this so the sample vector stops growing
-    /// — and stops measuring allocator churn.
+    /// store (`0` = unbounded, the historical default). Long wall-clock
+    /// runs (the `globe-bench` load generator sets it) should cap this
+    /// so the sample vector stops growing — and stops measuring
+    /// allocator churn.
     pub op_sample_capacity: usize,
     /// Directory for durable replica storage (write-ahead logs +
     /// checkpoint snapshots). `None` — the default — keeps every
@@ -805,8 +806,8 @@ pub trait GlobeRuntime {
     /// whose address spaces are `Rc`-shared and advance only in virtual
     /// time). Backends whose protocol machinery runs on its own threads
     /// (TCP, shard) return a port that N load-generator threads can
-    /// issue and poll through concurrently — the surface the workload
-    /// engine's open-loop drivers saturate. Call [`GlobeRuntime::start`]
+    /// issue and poll through concurrently — the surface the
+    /// `globe-bench` load generator drives. Call [`GlobeRuntime::start`]
     /// first: the port issues into live machinery.
     fn engine_port(&mut self) -> Option<std::sync::Arc<dyn EnginePort>> {
         None

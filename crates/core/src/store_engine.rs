@@ -8,7 +8,7 @@
 //! outdate reactions. The home (primary permanent) store additionally
 //! propagates writes to its peers and answers pulls.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -203,7 +203,12 @@ pub struct StoreReplica {
     peer_sent: HashMap<NodeId, usize>,
     buffered: Vec<BufferedWrite>,
     queued_reads: Vec<QueuedRead>,
-    forwarded: HashMap<RequestId, NodeId>,
+    /// Requests passed on to the sequencer, by origin. A forwarded read
+    /// keeps its frame so that a change of sequencer can re-forward it —
+    /// nothing else retries a read; a forwarded write is retransmitted
+    /// by its session. Ordered, so a seeded simulation re-forwards in the
+    /// same order every run.
+    forwarded: BTreeMap<RequestId, (NodeId, Option<CoherenceMsg>)>,
     client_nodes: HashMap<ClientId, NodeId>,
     is_home: bool,
     home_node: NodeId,
@@ -291,7 +296,7 @@ impl StoreReplica {
             peer_sent: HashMap::new(),
             buffered: Vec::new(),
             queued_reads: Vec::new(),
-            forwarded: HashMap::new(),
+            forwarded: BTreeMap::new(),
             client_nodes: HashMap::new(),
             is_home: config.is_home,
             home_node: config.home_node,
@@ -1560,6 +1565,11 @@ impl StoreReplica {
         self.install_snapshot(version, state, writers, order_high, Some(log), ctx);
         self.drain_buffered(ctx);
         self.drain_queued_reads(ctx);
+        // A read in flight to the previous sequencer may never be
+        // answered: it left, or died, before serving it.
+        for read in self.forwarded.values().filter_map(|(_, r)| r.as_ref()) {
+            self.comm.send(ctx, new_home, read);
+        }
         self.start(ctx);
     }
 
@@ -1839,17 +1849,14 @@ impl StoreReplica {
             // No valid lease: the sequencer serves the read. The reply
             // comes back through this store's `forwarded` table (or
             // straight to a co-located session).
-            self.forwarded.insert(req, from);
-            self.comm.send(
-                ctx,
-                self.home_node,
-                &CoherenceMsg::ReadReq {
-                    req,
-                    client,
-                    inv,
-                    min_version,
-                },
-            );
+            let read = CoherenceMsg::ReadReq {
+                req,
+                client,
+                inv,
+                min_version,
+            };
+            self.comm.send(ctx, self.home_node, &read);
+            self.forwarded.insert(req, (from, Some(read)));
             return;
         }
         if !self.is_home && self.tuning.read_leases {
@@ -2402,7 +2409,7 @@ impl StoreReplica {
         if self.is_home || self.repl.accepts_local_writes() {
             self.accept_write(Some((from, req, client)), write, ctx);
         } else {
-            self.forwarded.insert(req, from);
+            self.forwarded.insert(req, (from, None));
             self.comm.send(
                 ctx,
                 self.home_node,
@@ -2422,7 +2429,7 @@ impl StoreReplica {
     /// Returns `false` if the request is unknown here.
     pub fn relay_reply(&mut self, msg: &CoherenceMsg, ctx: &mut dyn NetCtx) -> bool {
         if let CoherenceMsg::Reply { req, .. } = msg {
-            if let Some(origin) = self.forwarded.remove(req) {
+            if let Some((origin, _)) = self.forwarded.remove(req) {
                 self.comm.send(ctx, origin, msg);
                 return true;
             }

@@ -513,19 +513,6 @@ impl TraceSnapshot {
         hist
     }
 
-    /// Flush counts per reason, as the journal saw them (the always-on
-    /// counters in [`TraceSnapshot::counters`] survive ring eviction;
-    /// this view is journal-local).
-    pub fn flush_histogram(&self) -> BTreeMap<&'static str, u64> {
-        let mut hist = BTreeMap::new();
-        for event in &self.events {
-            if let ProtocolEvent::BatchFlushed { reason, .. } = event.event {
-                *hist.entry(reason.name()).or_insert(0) += 1;
-            }
-        }
-        hist
-    }
-
     /// Joins per-write stage instants on the node that ordered each
     /// write (the sequencer), keyed by write id. Writes the journal
     /// only partially covers produce partially filled breakdowns.
@@ -539,6 +526,10 @@ impl TraceSnapshot {
             }
         }
         let mut map: BTreeMap<WriteId, WriteBreakdown> = BTreeMap::new();
+        // Per node, the writes applied there that still wait for a
+        // fan-out: the journal is time-ordered, so the node's next
+        // fan-out is the first at or after each of those applications.
+        let mut awaiting: BTreeMap<NodeId, Vec<WriteId>> = BTreeMap::new();
         for event in &self.events {
             let (write, slot): (WriteId, fn(&mut WriteBreakdown) -> &mut Option<SimTime>) =
                 match event.event {
@@ -546,6 +537,14 @@ impl TraceSnapshot {
                     ProtocolEvent::WriteOrdered { write, .. } => (write, |b| &mut b.ordered),
                     ProtocolEvent::WriteApplied { write } => (write, |b| &mut b.applied),
                     ProtocolEvent::WriteAcked { write } => (write, |b| &mut b.acked),
+                    ProtocolEvent::FanoutSent { .. } => {
+                        for write in awaiting.remove(&event.node).unwrap_or_default() {
+                            if let Some(entry) = map.get_mut(&write) {
+                                entry.fanout = Some(event.at);
+                            }
+                        }
+                        continue;
+                    }
                     _ => continue,
                 };
             if let Some(&home) = orderer.get(&write) {
@@ -561,23 +560,13 @@ impl TraceSnapshot {
                 fanout: None,
                 acked: None,
             });
+            let was_applied = entry.applied.is_some();
             let field = slot(entry);
             if field.is_none() {
                 *field = Some(event.at);
             }
-            // The first fan-out at/after this write's application.
-            if entry.fanout.is_none() {
-                if let Some(applied) = entry.applied {
-                    entry.fanout = self
-                        .events
-                        .iter()
-                        .find(|e| {
-                            matches!(e.event, ProtocolEvent::FanoutSent { .. })
-                                && e.node == event.node
-                                && e.at >= applied
-                        })
-                        .map(|e| e.at);
-                }
+            if !was_applied && entry.applied.is_some() {
+                awaiting.entry(event.node).or_default().push(write);
             }
         }
         map.into_values().collect()
@@ -1124,6 +1113,50 @@ mod tests {
         counters.lease_served = 3;
         counters.lease_forwarded = 1;
         assert!((counters.lease_hit_ratio() - 0.75).abs() < 1e-9);
+    }
+
+    /// A write's fan-out is the first one its ordering node sends at or
+    /// after applying it: another node's fan-out, a replica's apply and
+    /// the node's later fan-outs do not count.
+    #[test]
+    fn breakdown_takes_the_ordering_nodes_next_fanout() {
+        let ordered = |seq| ProtocolEvent::WriteOrdered {
+            write: wid(seq),
+            seq: seq - 1,
+            epoch: 0,
+        };
+        let snap = TraceSnapshot {
+            capacity: 16,
+            dropped: 0,
+            events: vec![
+                ev(1, 0, ordered(1)),
+                ev(1, 0, ProtocolEvent::WriteApplied { write: wid(1) }),
+                ev(2, 1, ProtocolEvent::FanoutSent { peers: 1 }),
+                ev(2, 0, ordered(2)),
+                ev(2, 0, ProtocolEvent::WriteApplied { write: wid(2) }),
+                ev(3, 0, ProtocolEvent::FanoutSent { peers: 2 }),
+                ev(4, 1, ProtocolEvent::WriteApplied { write: wid(1) }),
+                ev(5, 0, ordered(3)),
+                ev(5, 0, ProtocolEvent::WriteApplied { write: wid(3) }),
+                ev(5, 0, ProtocolEvent::FanoutSent { peers: 2 }),
+                ev(6, 0, ProtocolEvent::FanoutSent { peers: 2 }),
+            ],
+            counters: ProtocolCounters::default(),
+        };
+        let fanouts: Vec<_> = snap
+            .write_breakdowns()
+            .iter()
+            .map(|b| (b.write, b.applied, b.fanout))
+            .collect();
+        let ms = |at| Some(SimTime::from_millis(at));
+        assert_eq!(
+            fanouts,
+            vec![
+                (wid(1), ms(1), ms(3)),
+                (wid(2), ms(2), ms(3)),
+                (wid(3), ms(5), ms(5)),
+            ]
+        );
     }
 
     #[test]

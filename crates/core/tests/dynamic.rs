@@ -2,13 +2,17 @@
 //! after crashes, and policy changes mid-flight — the "flexibility needed
 //! in an evolutionary system such as the Web" (§5).
 
+// Test-only crate: helper fns outside #[test] bodies may unwrap/expect
+// (clippy's allow-unwrap-in-tests only covers #[test] functions).
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use std::time::Duration;
 
 use globe_coherence::{check, ClientModel, ObjectModel, StoreClass};
 use globe_core::lifecycle::{LifecycleEventKind, StoreHealth};
 use globe_core::{
-    registers, BindOptions, GlobeRuntime, GlobeSim, ObjectSpec, RegisterDoc, ReplicationPolicy,
-    RuntimeConfig,
+    registers, BindOptions, GlobeRuntime, GlobeSim, ObjectSpec, ProtocolEvent, RegisterDoc,
+    ReplicationPolicy, RuntimeConfig, TempDir,
 };
 use globe_net::Topology;
 
@@ -741,6 +745,85 @@ fn restart_preserves_prefailure_history() {
     assert_eq!(
         sim.store_digest(object, cache).unwrap(),
         sim.store_digest(object, server).unwrap()
+    );
+}
+
+/// Runs three kill/recover rounds of a mirror behind a stream of
+/// writes and returns, from the home's journal, the log entries every
+/// `StateTransfer` and delta chunk shipped and the number of delta
+/// sends among them.
+fn recovery_entries_shipped(config: RuntimeConfig) -> (usize, usize) {
+    let mut sim = GlobeSim::with_config(Topology::lan(), config.trace_capacity(65_536));
+    let server = sim.add_node();
+    let mirror = sim.add_node();
+    let object = ObjectSpec::new("/dynamic/recovery-cost")
+        .policy(
+            ReplicationPolicy::builder(ObjectModel::Fifo)
+                .immediate()
+                .build()
+                .unwrap(),
+        )
+        .semantics_boxed(doc)
+        .store(server, StoreClass::Permanent)
+        .store(mirror, StoreClass::ObjectInitiated)
+        .create(&mut sim)
+        .unwrap();
+    let writer = sim
+        .bind(object, server, BindOptions::new().read_node(server))
+        .unwrap();
+    for round in 0..3 {
+        for i in 0..8 {
+            sim.handle(writer)
+                .write(registers::put(
+                    &format!("k{i}"),
+                    format!("round-{round}").as_bytes(),
+                ))
+                .unwrap();
+        }
+        sim.run_for(Duration::from_secs(1));
+        sim.restart_store(object, mirror, doc()).unwrap();
+        sim.run_for(Duration::from_secs(1));
+        assert_eq!(
+            sim.store_digest(object, mirror).unwrap(),
+            sim.store_digest(object, server).unwrap(),
+            "round {round}: the recovered mirror must reconverge"
+        );
+    }
+    let (mut entries, mut delta_sends) = (0, 0);
+    for e in &sim.trace().events {
+        match e.event {
+            ProtocolEvent::StateTransferSent { entries: n, .. } => entries += n,
+            ProtocolEvent::DeltaTransferSent { entries: n, .. } => {
+                entries += n;
+                delta_sends += 1;
+            }
+            _ => {}
+        }
+    }
+    (entries, delta_sends)
+}
+
+/// What incremental recovery buys, as a count: over the same
+/// kill/recover rounds a durable mirror (recovers from its own WAL,
+/// then joins with its version vector) makes the home ship no more log
+/// entries than an in-memory one (joins blank, gets the whole log), and
+/// it does so through the delta path.
+#[test]
+fn durable_recovery_ships_no_more_log_than_full_transfer() {
+    let base = RuntimeConfig::new().seed(21);
+    let (full_entries, full_delta_sends) = recovery_entries_shipped(base.clone());
+    assert_eq!(full_delta_sends, 0, "a blank mirror has nothing to diff");
+
+    let dir = TempDir::new("dynamic_recovery_cost");
+    let (incr_entries, incr_delta_sends) =
+        recovery_entries_shipped(base.durable_dir(dir.path()).checkpoint_every(2));
+    assert!(
+        incr_delta_sends > 0,
+        "the durable mirror must rejoin through the delta path"
+    );
+    assert!(
+        incr_entries <= full_entries,
+        "incremental recovery shipped {incr_entries} log entries, full transfer {full_entries}"
     );
 }
 

@@ -11,7 +11,7 @@ use std::time::Duration;
 use globe_coherence::{check, ClientModel, ObjectModel, StoreClass};
 use globe_core::{
     registers, BindOptions, CoherenceTransfer, GlobeRuntime, GlobeSim, ObjectSpec, OutdateReaction,
-    Propagation, RegisterDoc, ReplicationPolicy, TransferInitiative,
+    Propagation, RegisterDoc, ReplicationPolicy, RuntimeConfig, TransferInitiative,
 };
 use globe_net::{LinkConfig, NodeId, Topology};
 
@@ -556,6 +556,99 @@ fn full_coherence_transfer_ships_snapshots() {
     let metrics = sim.metrics();
     let metrics = metrics.lock();
     assert!(metrics.traffic.contains_key("FullState"));
+}
+
+/// Pipelines eight writes into the sequencer of a home with three
+/// permanent mirrors under `policy`. Returns the fan-out frames the run
+/// put on the wire (per-write `Update`s plus the coalesced
+/// `UpdateBatch` or `WriteBatch` of a lazy transfer or a group commit)
+/// and every page as every store serves it afterwards.
+fn pipelined_fan_out(policy: ReplicationPolicy, config: RuntimeConfig) -> (u64, Vec<Vec<u8>>) {
+    let mut sim = GlobeSim::with_config(Topology::lan(), config);
+    let stores: Vec<NodeId> = (0..4).map(|_| sim.add_node()).collect();
+    let client = sim.add_node();
+    let placement: Vec<_> = stores.iter().map(|&n| (n, StoreClass::Permanent)).collect();
+    let object = ObjectSpec::new("/test/fan-out")
+        .policy(policy)
+        .semantics_boxed(doc_factory)
+        .stores(&placement)
+        .create(&mut sim)
+        .unwrap();
+    let writer = sim
+        .bind(object, client, BindOptions::new().read_node(stores[0]))
+        .unwrap();
+    for i in 0..8 {
+        let put = registers::put(&format!("page{}", i % 3), format!("v{i}").as_bytes());
+        sim.issue_write(&writer, put).unwrap();
+    }
+    sim.run_for(Duration::from_secs(1));
+
+    let frames = {
+        let metrics = sim.metrics();
+        let metrics = metrics.lock();
+        ["Update", "UpdateBatch", "WriteBatch"]
+            .iter()
+            .map(|kind| metrics.traffic.get(kind).map_or(0, |k| k.count))
+            .sum()
+    };
+    let mut pages = Vec::new();
+    for &node in &stores {
+        let reader = sim
+            .bind(object, client, BindOptions::new().read_node(node))
+            .unwrap();
+        for page in 0..3 {
+            let get = registers::get(&format!("page{page}"));
+            pages.push(sim.handle(reader).read(get).unwrap().to_vec());
+        }
+    }
+    (frames, pages)
+}
+
+fn fifo_immediate() -> ReplicationPolicy {
+    ReplicationPolicy::builder(ObjectModel::Fifo)
+        .immediate()
+        .build()
+        .unwrap()
+}
+
+/// What group commit buys, as a count: eight writes staged into one
+/// batch reach each mirror in fewer frames than eight per-write
+/// `Update`s, and every store ends on the same pages either way.
+#[test]
+fn group_commit_fans_out_fewer_frames_for_the_same_pages() {
+    let plain = RuntimeConfig::new().seed(17);
+    let (plain_frames, plain_pages) = pipelined_fan_out(fifo_immediate(), plain.clone());
+    assert_eq!(plain_frames, 8 * 3, "one Update per write per mirror");
+
+    let batched = plain.batch_max(8).batch_window(Duration::from_millis(5));
+    let (batched_frames, batched_pages) = pipelined_fan_out(fifo_immediate(), batched);
+    assert!(
+        batched_frames < plain_frames,
+        "batched fan-out took {batched_frames} frames, unbatched {plain_frames}"
+    );
+    assert_eq!(
+        batched_pages, plain_pages,
+        "group commit must not change what any store serves"
+    );
+}
+
+/// Table 1's transfer instant (§3.3): for an often-modified object "it
+/// may be more efficient to implement a periodic update in which
+/// several updates are aggregated, instead of an immediate one".
+#[test]
+fn lazy_transfer_aggregates_a_burst_into_fewer_frames() {
+    let config = RuntimeConfig::new().seed(17);
+    let (immediate_frames, immediate_pages) = pipelined_fan_out(fifo_immediate(), config.clone());
+    let lazy = ReplicationPolicy::builder(ObjectModel::Fifo)
+        .lazy(Duration::from_millis(200))
+        .build()
+        .unwrap();
+    let (lazy_frames, lazy_pages) = pipelined_fan_out(lazy, config);
+    assert!(
+        lazy_frames < immediate_frames,
+        "lazy transfer took {lazy_frames} frames, immediate {immediate_frames}"
+    );
+    assert_eq!(lazy_pages, immediate_pages, "both must converge alike");
 }
 
 #[test]

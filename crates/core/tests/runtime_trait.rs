@@ -493,6 +493,33 @@ fn home_failover_matrix_with_durable_storage() {
     assert_trace_captured(&outcomes);
 }
 
+/// The home fail-over drill with every optional mechanism on at once —
+/// group commit, read leases, the durable WAL with checkpoints — and
+/// the flight recorder watching: the scenario body runs `TraceChecker`
+/// on each backend's journal, so an ack before its apply, a gap in a
+/// sequencer tenure or a lease-served read after a revoke fails here.
+#[test]
+fn home_failover_matrix_with_batching_and_leases() {
+    let dirs = durable_dirs("home_failover_leased");
+    let base = RuntimeConfig::new()
+        .seed(42)
+        .call_timeout(Duration::from_secs(10))
+        .batch_max(4)
+        .batch_window(Duration::from_millis(10))
+        .read_leases(true)
+        .lease_duration(Duration::from_secs(2))
+        .checkpoint_every(4)
+        .trace_capacity(8192);
+    let outcomes = matrix::run_matrix_with(
+        &matrix::fault::HomeFailover,
+        &Backend::ALL,
+        durable_config_for(&dirs, base),
+    )
+    .expect("identical batched and leased fail-over outcomes on every backend");
+    assert_eq!(outcomes.len(), 3);
+    assert_trace_captured(&outcomes);
+}
+
 /// The incremental-recovery proof: a durable mirror is killed after the
 /// workload has been checkpointed, recovers its state from its own WAL,
 /// and rejoins by shipping its version vector — so the home sends a

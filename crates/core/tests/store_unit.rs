@@ -370,6 +370,66 @@ fn invalidated_page_read_demands_from_home() {
     assert!(r.client_log.borrow().is_empty(), "read parked until data");
 }
 
+/// With read leases on, a replica without a lease forwards reads to
+/// the sequencer, and nothing else retries a read. When the sequencer
+/// moves, the replica re-forwards the reads it still owes an answer: a
+/// read in flight to a home that left or died is otherwise never served.
+#[test]
+fn forwarded_read_follows_the_sequencer_to_its_successor() {
+    let policy = ReplicationPolicy::builder(ObjectModel::Fifo)
+        .immediate()
+        .build()
+        .unwrap();
+    let tuning = globe_core::StoreTuning {
+        read_leases: true,
+        ..globe_core::StoreTuning::default()
+    };
+    let mut r = rig_tuned(policy, false, tuning);
+    let home_log = capture(&mut r.net, r.home_node);
+    let successor = r.net.add_node();
+    let successor_log = capture(&mut r.net, successor);
+    let is_the_read = |(_, m): &(NodeId, CoherenceMsg)| matches!(m, CoherenceMsg::ReadReq { req, .. } if *req == RequestId::new(1));
+
+    let (store, client_node) = (&mut r.store, r.client_node);
+    r.net.with_ctx(r.peer_node, |ctx| {
+        store.serve_read(
+            client_node,
+            RequestId::new(1),
+            ClientId::new(5),
+            registers::get("page"),
+            VersionVector::new(),
+            ctx,
+        );
+    });
+    r.net.run_until_quiescent();
+    assert!(home_log.borrow().iter().any(is_the_read), "read forwarded");
+    assert!(r.client_log.borrow().is_empty(), "and not yet answered");
+
+    // The sequencer hands over before it served the read.
+    let (store, home_node) = (&mut r.store, r.home_node);
+    r.net.with_ctx(r.peer_node, |ctx| {
+        store.handle_sequencer_handoff(
+            home_node,
+            successor,
+            StoreId::new(2),
+            1,
+            VersionVector::new(),
+            globe_core::Semantics::snapshot(&RegisterDoc::new()),
+            Vec::new(),
+            None,
+            Vec::new(),
+            Vec::new(),
+            ctx,
+        );
+    });
+    r.net.run_until_quiescent();
+    assert!(
+        successor_log.borrow().iter().any(is_the_read),
+        "the unanswered read must reach the new sequencer: {:?}",
+        successor_log.borrow()
+    );
+}
+
 #[test]
 fn group_commit_counters_and_trace_capture_flushes() {
     let policy = ReplicationPolicy::builder(ObjectModel::Pram)

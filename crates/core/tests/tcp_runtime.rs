@@ -3,11 +3,12 @@
 //! Web-master client (with Read-Your-Writes) and a user client are
 //! driven from the test thread.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use globe_coherence::{ClientModel, StoreClass};
+use globe_coherence::{ClientModel, ObjectModel, StoreClass};
 use globe_core::{
-    registers, BindOptions, GlobeRuntime, GlobeTcp, ObjectSpec, RegisterDoc, ReplicationPolicy,
+    registers, BindOptions, EnginePort, GlobeRuntime, GlobeTcp, ObjectSpec, RegisterDoc,
+    ReplicationPolicy,
 };
 
 const CALL_TIMEOUT: Duration = Duration::from_secs(10);
@@ -194,5 +195,81 @@ fn incremental_updates_over_sockets_stay_ordered() {
     let history = history.lock();
     globe_coherence::check::check_pram(&history).expect("pram over tcp");
     drop(history);
+    globe.shutdown();
+}
+
+/// The TCP client plane as a port: a writer thread and a reader thread
+/// issue through one shared `EnginePort` while the node loops and
+/// connection readers make the progress. Every call resolves, the
+/// recorded history is PRAM, and the settled replicas agree.
+#[test]
+fn two_threads_share_the_engine_port_over_sockets() {
+    const CALLS: usize = 50;
+
+    let mut globe = GlobeTcp::new();
+    let server = globe.add_node().expect("server");
+    let mirror = globe.add_node().expect("mirror");
+    let client_node = globe.add_node().expect("client");
+    let policy = ReplicationPolicy::builder(ObjectModel::Pram)
+        .immediate()
+        .build()
+        .expect("valid");
+    let object = ObjectSpec::new("/tcp/port")
+        .policy(policy)
+        .semantics(RegisterDoc::new)
+        .store(server, StoreClass::Permanent)
+        .store(mirror, StoreClass::Permanent)
+        .create(&mut globe)
+        .expect("create");
+    let writer = globe
+        .bind(object, client_node, BindOptions::new().read_node(server))
+        .expect("bind writer");
+    let reader = globe
+        .bind(object, client_node, BindOptions::new().read_node(mirror))
+        .expect("bind reader");
+    globe.start(&[client_node]);
+
+    let port = globe
+        .engine_port()
+        .expect("a started TCP runtime is a port");
+    let port: &dyn EnginePort = &*port;
+    let deadline = Instant::now() + CALL_TIMEOUT;
+    std::thread::scope(|scope| {
+        for (handle, is_read) in [(&writer, false), (&reader, true)] {
+            scope.spawn(move || {
+                let reqs: Vec<_> = (0..CALLS)
+                    .map(|i| {
+                        let inv = if is_read {
+                            registers::get("page")
+                        } else {
+                            registers::put("page", format!("v{i}").as_bytes())
+                        };
+                        port.issue(handle, inv, is_read).expect("issue")
+                    })
+                    .collect();
+                for req in reqs {
+                    loop {
+                        if let Some(result) = port.try_result(handle, req) {
+                            result.expect("call completed");
+                            break;
+                        }
+                        assert!(Instant::now() < deadline, "a call never resolved");
+                        std::thread::sleep(Duration::from_micros(200));
+                    }
+                }
+            });
+        }
+    });
+
+    globe.settle(Duration::from_millis(300));
+    let last = format!("v{}", CALLS - 1);
+    for handle in [&writer, &reader] {
+        let got = globe
+            .read_timeout(handle, registers::get("page"), CALL_TIMEOUT)
+            .expect("read");
+        assert_eq!(&got[..], last.as_bytes(), "settled replicas agree");
+    }
+    let history = globe.history();
+    globe_coherence::check::check_pram(&history.lock()).expect("pram over the port");
     globe.shutdown();
 }

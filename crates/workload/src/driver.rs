@@ -5,10 +5,12 @@
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-use globe_core::{CallError, ClientHandle, GlobeRuntime, GlobeSim};
-use globe_web::methods;
+use globe_core::{CallError, ClientHandle, GlobeRuntime, GlobeSim, MethodKind, RequestId};
+use globe_web::{methods, Page};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
-use crate::{Arrival, LatencySummary, StalenessSummary};
+use crate::{staleness, Arrival, LatencySummary, StalenessSummary, Zipf};
 
 /// Parameters of one workload run.
 #[derive(Debug, Clone)]
@@ -93,10 +95,11 @@ impl WorkloadOutcome {
 /// Runs `spec` against an already-built simulation with bound reader and
 /// writer handles, and analyses the outcome.
 ///
-/// A thin sim-backed wrapper over the backend-generic engine: the
-/// schedule replays through [`crate::engine`]'s interleaved virtual-time
-/// path (a [`crate::WorkloadClock::Virtual`] clock over
-/// [`GlobeRuntime::settle`]), then the store digests are finalized for
+/// The merged arrival schedule of every reader and writer replays on
+/// the caller's thread, running the simulator forward to each
+/// operation's instant. Latency and completion counts come from the
+/// runtime's own metrics (virtual-time samples), traffic and staleness
+/// from its metrics and history; the store digests are finalized for
 /// the coherence checkers that typically follow a run.
 pub fn run_workload(
     sim: &mut GlobeSim,
@@ -104,15 +107,123 @@ pub fn run_workload(
     writers: &[ClientHandle],
     spec: &WorkloadSpec,
 ) -> WorkloadOutcome {
-    let outcome = crate::engine::interleaved_outcome(
-        sim,
-        readers,
-        writers,
-        spec,
-        crate::WorkloadClock::virtual_clock(),
-    );
+    let mut rng = StdRng::seed_from_u64(spec.seed);
+    let zipf = Zipf::new(spec.pages.max(1), spec.zipf_theta);
+    let metrics_before = {
+        let m = sim.metrics();
+        let m = m.lock();
+        (m.ops.len(), m.traffic.clone())
+    };
+
+    // Build the merged operation schedule.
+    let mut schedule: Vec<(Duration, usize, MethodKind)> = Vec::new();
+    for (index, _) in readers.iter().enumerate() {
+        for at in spec.reader_arrival.schedule(&mut rng, spec.duration) {
+            schedule.push((at, index, MethodKind::Read));
+        }
+    }
+    for (index, _) in writers.iter().enumerate() {
+        for at in spec.writer_arrival.schedule(&mut rng, spec.duration) {
+            schedule.push((at, index, MethodKind::Write));
+        }
+    }
+    schedule.sort_by_key(|(at, index, kind)| (*at, *index, *kind == MethodKind::Read));
+
+    // Virtual time consumed since the start of the run.
+    let mut cursor = Duration::ZERO;
+    let mut advance_to = |sim: &mut GlobeSim, target: Duration| {
+        if target > cursor {
+            sim.run_for(target - cursor);
+            cursor = target;
+        }
+    };
+
+    let mut pending: Vec<(ClientHandle, RequestId)> = Vec::new();
+    let mut reads_issued = 0usize;
+    let mut writes_issued = 0usize;
+    let mut write_counter = 0u64;
+    for (at, index, kind) in schedule {
+        advance_to(sim, at);
+        let page = format!("page{:03}", zipf.sample(&mut rng));
+        match kind {
+            MethodKind::Read => {
+                let handle = readers[index];
+                if let Ok(req) = sim.issue_read(&handle, methods::get_page(&page)) {
+                    pending.push((handle, req));
+                    reads_issued += 1;
+                }
+            }
+            MethodKind::Write => {
+                let handle = writers[index];
+                write_counter += 1;
+                // Fixed-size body stamped with the write counter.
+                let mut body = format!("[w{write_counter}]").into_bytes();
+                body.resize(spec.page_bytes.max(body.len()), b'x');
+                let inv = if spec.incremental {
+                    methods::patch_page(&page, &body)
+                } else {
+                    methods::put_page(&page, &Page::html(body))
+                };
+                if let Ok(req) = sim.issue_write(&handle, inv) {
+                    pending.push((handle, req));
+                    writes_issued += 1;
+                }
+            }
+        }
+        let _ = rng.random::<u32>(); // decorrelate successive choices
+    }
+    advance_to(sim, spec.duration);
+    advance_to(sim, spec.duration + spec.drain);
+
+    // Collect any still-unclaimed results (each poll also lets the
+    // runtime make a little progress, per the trait's contract).
+    for (handle, req) in pending {
+        let _ = sim.result(&handle, req);
+    }
+
+    // Latency and completion counts from metrics samples.
+    let metrics = sim.metrics();
+    let metrics = metrics.lock();
+    let mut read_samples = Vec::new();
+    let mut write_samples = Vec::new();
+    for op in &metrics.ops[metrics_before.0..] {
+        match op.kind {
+            MethodKind::Read => read_samples.push(op.latency()),
+            MethodKind::Write => write_samples.push(op.latency()),
+        }
+    }
+    let mut traffic: BTreeMap<&'static str, (u64, u64)> = BTreeMap::new();
+    let mut messages = 0u64;
+    let mut bytes = 0u64;
+    for (kind, count) in &metrics.traffic {
+        let before = metrics_before.1.get(kind).copied().unwrap_or_default();
+        let delta_count = count.count - before.count;
+        let delta_bytes = count.bytes - before.bytes;
+        if delta_count > 0 {
+            traffic.insert(kind, (delta_count, delta_bytes));
+            messages += delta_count;
+            bytes += delta_bytes;
+        }
+    }
+    drop(metrics);
+
+    let history = sim.history();
+    let staleness_summary = staleness(&history.lock());
+
     sim.finalize_digests();
-    outcome
+    WorkloadOutcome {
+        reads_issued,
+        reads_completed: read_samples.len(),
+        writes_issued,
+        writes_completed: write_samples.len(),
+        read_latency: LatencySummary::of(read_samples),
+        write_latency: LatencySummary::of(write_samples),
+        staleness: staleness_summary,
+        messages,
+        bytes,
+        traffic,
+        elapsed: cursor,
+    }
 }
 
 /// Convenience: drives `n` sequential synchronous reads on any runtime

@@ -11,10 +11,10 @@
 //!
 //! Deployments are described with the [`ObjectSpec`] builder and clients
 //! are bound to [`ClientHandle`]s; [`run_workload`] then schedules their
-//! operations in virtual time on the simulator, and the backend-generic
-//! [`engine`] module drives the same workloads on any runtime — open-loop
-//! concurrent threads in wall time on TCP/shard, interleaved virtual-time
-//! schedules on sim — behind the [`WorkloadClock`] abstraction.
+//! operations in virtual time on the simulator. Wall-clock load on the
+//! TCP and sharded runtimes has one generator, the repo's benchmark
+//! (`globe-bench/`, see its README), which borrows [`Arrival`] and
+//! [`staleness`] from here.
 //!
 //! ```
 //! use globe_coherence::StoreClass;
@@ -50,14 +50,12 @@
 
 mod arrivals;
 mod driver;
-pub mod engine;
 pub mod scenario;
 mod stats;
 mod zipf;
 
 pub use arrivals::Arrival;
 pub use driver::{run_workload, smoke_reads, WorkloadOutcome, WorkloadSpec};
-pub use engine::{run_engine, EngineMode, EngineReport, SampleSink, WorkloadClock};
 pub use scenario::{build, ScenarioInstance, SetupSpec, TopologyKind};
 pub use stats::{staleness, LatencySummary, StalenessSummary};
 pub use zipf::Zipf;

@@ -70,6 +70,36 @@ fn every_model_passes_its_checker() {
     }
 }
 
+/// §3.2's cost claim: sequential coherence "is hard to implement
+/// efficiently" because every write waits for the one sequencer, while
+/// PRAM needs only a local sequence number — with local write ingress
+/// a PRAM write is acknowledged by the nearest store, a sequential one
+/// after the round trip to the home.
+#[test]
+fn sequential_writes_pay_the_sequencer_round_trip() {
+    let write_p50 = |model| {
+        let mut spec = spec_for(model, 15);
+        spec.local_writes = true;
+        let mut instance = build(&spec).expect("setup");
+        let outcome = run_workload(
+            &mut instance.sim,
+            &instance.readers,
+            &instance.writers,
+            &short_workload(15),
+        );
+        assert_eq!(outcome.writes_completed, outcome.writes_issued);
+        outcome.write_latency.p50
+    };
+    let (sequential, pram) = (
+        write_p50(ObjectModel::Sequential),
+        write_p50(ObjectModel::Pram),
+    );
+    assert!(
+        pram * 100 < sequential,
+        "PRAM write p50 {pram:?} should be local, sequential {sequential:?} a WAN round trip"
+    );
+}
+
 #[test]
 fn eventual_converges_for_every_model() {
     // Ordering models are also eventually convergent on a clean network
