@@ -20,7 +20,10 @@ use crate::{
     CallError, CoherenceMsg, InvocationMessage, RequestId, Session, StoreReplica, TimerKind,
 };
 
-/// Interval for client-proxy retransmission of unacknowledged writes.
+/// Interval of the backstop retransmission of unacknowledged writes. A
+/// sequencer move does not wait for it — sessions resend when they
+/// accept the takeover announcement — so it only covers frames lost in
+/// transit and sessions the successor never served (and so never told).
 const SESSION_RETRY_PERIOD: std::time::Duration = std::time::Duration::from_millis(1000);
 
 /// The per-object dispatcher within one address space.
@@ -105,8 +108,10 @@ impl ControlObject {
     }
 
     /// Reroutes every local session away from a failed home store (see
-    /// [`Session::reroute_home`]): pending retransmissions and future
-    /// invocations then target the elected successor.
+    /// [`Session::reroute_home`]): future invocations, and any resend of
+    /// still-unacknowledged writes, then target the elected successor.
+    /// Rerouting sends nothing; the resend happens when the successor's
+    /// takeover announcement reaches [`ControlObject::handle_message`].
     pub fn reroute_sessions(
         &mut self,
         old_home: NodeId,
@@ -158,11 +163,7 @@ impl ControlObject {
         let req = session.issue_write(inv, ctx);
         self.req_owner.insert(req, client);
         if !self.session_retry_armed {
-            ctx.set_timer(
-                SESSION_RETRY_PERIOD,
-                crate::space::timer_token(self.object, TimerKind::SessionRetry),
-            );
-            self.session_retry_armed = true;
+            self.arm_session_retry(ctx);
         }
         Ok(req)
     }
@@ -408,15 +409,24 @@ impl ControlObject {
                 // epoch, or a same-epoch claim by a higher store id —
                 // the conflict the store layer resolves identically),
                 // so a detector flap cannot bounce sessions back to a
-                // deposed sequencer.
+                // deposed sequencer. A claim new to this control object
+                // also resends, at once, what its sessions still owe
+                // the announced home: the outage is detection +
+                // election, not a retry interval. A re-announcement of
+                // the same claim (a deposed home's relay, a recovery
+                // fan-in) resends nothing.
                 let claim = (epoch, new_home_store);
                 let wins = match self.handoff_claim {
                     None => true,
                     Some((e, s)) => epoch > e || (epoch == e && new_home_store <= s),
                 };
                 if wins {
+                    let fresh = self.handoff_claim != Some(claim);
                     self.handoff_claim = Some(claim);
                     self.reroute_sessions(old_home, new_home, new_home_store, false);
+                    if fresh {
+                        self.resend_unacked(Some(new_home), ctx);
+                    }
                 }
             }
         }
@@ -463,22 +473,37 @@ impl ControlObject {
     pub fn handle_timer(&mut self, kind: TimerKind, ctx: &mut dyn NetCtx) {
         if kind == TimerKind::SessionRetry {
             self.session_retry_armed = false;
-            let mut unacked = 0;
-            for session in self.sessions.values_mut() {
-                unacked += session.resend_unacked(ctx);
-            }
-            if unacked > 0 {
-                ctx.set_timer(
-                    SESSION_RETRY_PERIOD,
-                    crate::space::timer_token(self.object, TimerKind::SessionRetry),
-                );
-                self.session_retry_armed = true;
-            }
+            self.resend_unacked(None, ctx);
             return;
         }
         if let Some(store) = self.store.as_mut() {
             store.handle_timer(kind, ctx);
         }
+    }
+
+    /// Resends the unacknowledged writes of every local session — or,
+    /// with `to`, of every session whose writes go to that node — in
+    /// client order, and keeps the retry backstop armed while any
+    /// remain unacknowledged.
+    fn resend_unacked(&mut self, to: Option<NodeId>, ctx: &mut dyn NetCtx) {
+        let mut sessions: Vec<&mut Session> = self
+            .sessions
+            .values_mut()
+            .filter(|s| to.is_none_or(|node| s.write_node() == node))
+            .collect();
+        sessions.sort_unstable_by_key(|s| s.client());
+        let unacked: usize = sessions.into_iter().map(|s| s.resend_unacked(ctx)).sum();
+        if unacked > 0 && !self.session_retry_armed {
+            self.arm_session_retry(ctx);
+        }
+    }
+
+    fn arm_session_retry(&mut self, ctx: &mut dyn NetCtx) {
+        ctx.set_timer(
+            SESSION_RETRY_PERIOD,
+            crate::space::timer_token(self.object, TimerKind::SessionRetry),
+        );
+        self.session_retry_armed = true;
     }
 }
 

@@ -331,8 +331,10 @@ impl<F: Fabric> Driver<F> {
     }
 
     /// Points every bound session of `object` away from a failed home:
-    /// pending retransmissions and future invocations then target the
-    /// elected successor.
+    /// future invocations then target the elected successor. Nothing is
+    /// resent from here — the successor may not be promoted yet; its
+    /// takeover announcement makes each session it served resend its
+    /// unacknowledged writes (`SESSION_RETRY_PERIOD` backs up the rest).
     fn reroute_sessions(&mut self, object: ObjectId, f: &FailoverPlan, reroute_reads: bool) {
         self.fabric.each_space(&mut |space| {
             if let Some(control) = space.control_mut(object) {

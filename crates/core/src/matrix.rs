@@ -565,7 +565,8 @@ pub mod fault {
     /// and require that the node-level failure detector confirms it
     /// down, the surviving permanent store self-elects and accepts
     /// writes, client sessions reroute on the unsolicited takeover
-    /// announcement, the deposed home rejoins as an ordinary replica
+    /// announcement and resend the write issued after the partition,
+    /// the deposed home rejoins as an ordinary replica
     /// when the partition heals, and every store's recorded history is
     /// a prefix-consistent continuation.
     ///
@@ -625,6 +626,12 @@ pub mod fault {
             // the detector must confirm the silence and the standby
             // must elect itself.
             rt.partition_node(home, true)?;
+            // A write into the dark, before anyone has noticed: the
+            // session resends it when the successor's takeover
+            // announcement reroutes it.
+            let dark = rt
+                .handle(writer)
+                .issue_write(registers::put("k-dark", b"in-the-dark"))?;
             let mut elected = false;
             for _ in 0..200 {
                 let view = rt.membership(object)?;
@@ -642,10 +649,25 @@ pub mod fault {
                 "elected-home",
                 rt.membership(object)?.members[0].node.to_string(),
             );
+            let mut acked = None;
+            for _ in 0..200 {
+                acked = rt.handle(writer).result(dark);
+                if acked.is_some() {
+                    break;
+                }
+                rt.settle(Duration::from_millis(50));
+            }
+            acked.ok_or("the write issued into the dark was never acknowledged")??;
+            let seen = converge(rt, reader, "k-dark", b"in-the-dark")?;
+            assert_eq!(
+                &seen[..],
+                b"in-the-dark",
+                "the successor must accept the write resent on its announcement"
+            );
+            obs.record("dark-write", &seen);
 
             // The elected sequencer accepts writes: the writer's session
-            // was rerouted by the takeover announcement (its pending
-            // retransmissions land on the standby), no rebind needed.
+            // was rerouted by the takeover announcement, no rebind needed.
             rt.handle(writer)
                 .write(registers::put("k5", b"post-auto"))?;
             let k5 = converge(rt, reader, "k5", b"post-auto")?;

@@ -121,6 +121,11 @@ impl Session {
         self.read_store
     }
 
+    /// The node this session's writes go to.
+    pub fn write_node(&self) -> NodeId {
+        self.write_node
+    }
+
     /// Rebinds reads to a different store (clients may switch replicas;
     /// the monotonic-reads guard keeps that safe).
     pub fn rebind_reads(&mut self, node: NodeId, store: StoreId) {
@@ -130,8 +135,9 @@ impl Session {
 
     /// Reroutes this session after a home-store fail-over: writes bound
     /// to the failed home now target the elected successor, so the
-    /// periodic retransmission of unacknowledged writes — and every
-    /// future invocation — reaches a live sequencer. Reads are rebound
+    /// resend of unacknowledged writes the takeover announcement
+    /// triggers (see [`Session::resend_unacked`]) — and every future
+    /// invocation — reaches a live sequencer. Reads are rebound
     /// too when the failed replica is gone for good (`reroute_reads`);
     /// after a crash-restart the replica recovers in place and keeps
     /// serving this session's reads.
@@ -339,10 +345,12 @@ impl Session {
         }
     }
 
-    /// Retransmits every write still awaiting acknowledgement. Returns
-    /// how many were resent. The control object drives this from a
-    /// periodic timer, giving datagram-like transports at-least-once
-    /// write delivery; stores deduplicate by WiD.
+    /// Retransmits every write still awaiting acknowledgement, in WiD
+    /// order, to the current write node. Returns how many were resent.
+    /// The control object calls this when it accepts a takeover
+    /// announcement for that node, and from a backstop timer that gives
+    /// datagram-like transports at-least-once write delivery; stores
+    /// deduplicate by WiD.
     pub fn resend_unacked(&mut self, ctx: &mut dyn NetCtx) -> usize {
         let to_resend: Vec<(RequestId, LoggedWrite)> = self
             .sent_writes

@@ -572,6 +572,108 @@ fn partitioned_standby_cannot_usurp_a_live_sequencer() {
     check::check_fifo(&h).unwrap();
 }
 
+/// Fail-over outage = detection + election: the `tcp_durable_failover`
+/// drill's shape on the simulator. A client pipelines writes to the
+/// home every 5 ms; the home is partitioned mid-stream. Every write
+/// issued into the dark is resent the moment the session accepts the
+/// successor's takeover announcement, not when the 1 s session-retry
+/// backstop fires.
+#[test]
+fn takeover_announcement_resends_unacked_writes_at_once() {
+    let period = Duration::from_millis(20);
+    let config = RuntimeConfig::new()
+        .seed(5)
+        .heartbeat_period(period)
+        .auto_failover(true)
+        .trace_capacity(1 << 16);
+    let outage_bound = period * (config.suspect_after_misses + config.failover_confirm_periods + 2);
+    let mut sim = GlobeSim::with_config(Topology::lan(), config);
+    let home = sim.add_node();
+    let mirror1 = sim.add_node();
+    let mirror2 = sim.add_node();
+    let client_node = sim.add_node();
+    let object = ObjectSpec::new("/dynamic/takeover-resend")
+        .policy(
+            ReplicationPolicy::builder(ObjectModel::Pram)
+                .immediate()
+                .build()
+                .unwrap(),
+        )
+        .semantics_boxed(doc)
+        .store(home, StoreClass::Permanent)
+        .store(mirror1, StoreClass::Permanent)
+        .store(mirror2, StoreClass::Permanent)
+        .create(&mut sim)
+        .unwrap();
+    // Reads at mirror 1 teach the future sequencer the client's node,
+    // so its takeover announcement reaches the session.
+    let client = sim
+        .bind(object, client_node, BindOptions::new().read_node(mirror1))
+        .unwrap();
+    sim.handle(client)
+        .write(registers::put("warm", b"up"))
+        .unwrap();
+    let warm = sim.handle(client).read(registers::get("warm")).unwrap();
+    assert_eq!(&warm[..], b"up");
+    sim.run_for(Duration::from_millis(200));
+
+    // 120 writes 5 ms apart; the last 100 are issued into the dark.
+    let gap = Duration::from_millis(5);
+    let mut dark_from = None;
+    for i in 0..120 {
+        if i == 20 {
+            sim.partition_node(home, true).unwrap();
+            dark_from = Some(sim.now());
+        }
+        sim.issue_write(&client, registers::put(&format!("k{}", i % 8), b"v"))
+            .unwrap();
+        sim.run_for(gap);
+    }
+    sim.run_for(Duration::from_millis(500));
+    assert_eq!(sim.home_of(object), Some(mirror1), "mirror 1 self-elects");
+    let dark_from = dark_from.unwrap();
+
+    let timeline = sim.trace().failover_timeline();
+    let first_write = timeline
+        .takeover_to_first_write()
+        .expect("a takeover and a write after it");
+    assert!(
+        first_write <= period,
+        "the successor's first write must follow its takeover within one heartbeat \
+         period, not a session-retry interval: {first_write:?}"
+    );
+    let metrics = sim.metrics();
+    let dark: Vec<_> = metrics
+        .lock()
+        .ops
+        .iter()
+        .filter(|op| op.kind == globe_core::MethodKind::Write && op.issued >= dark_from)
+        .copied()
+        .collect();
+    assert_eq!(dark.len(), 100, "every write into the dark is acked");
+    for op in &dark {
+        assert!(op.ok);
+        assert!(
+            op.latency() <= outage_bound,
+            "a write issued at {:?} took {:?}, past detection + election ({outage_bound:?})",
+            op.issued,
+            op.latency()
+        );
+    }
+
+    // Heal: the deposed home steps down and every store agrees.
+    sim.partition_node(home, false).unwrap();
+    sim.run_for(Duration::from_secs(2));
+    assert_eq!(sim.home_of(object), Some(mirror1));
+    let digest = sim.store_digest(object, mirror1).unwrap();
+    for node in [home, mirror2] {
+        assert_eq!(sim.store_digest(object, node).unwrap(), digest, "{node}");
+    }
+    check::check_pram(&sim.history().lock()).unwrap();
+    let violations = globe_core::TraceChecker::check(&sim.trace());
+    assert!(violations.is_empty(), "trace violations: {violations:?}");
+}
+
 #[test]
 fn node_level_detector_sends_one_stream_per_pair_not_per_object() {
     // Eight objects co-homed on one node pair: heartbeat traffic must

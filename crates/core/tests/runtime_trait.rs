@@ -182,7 +182,7 @@ fn auto_failover_matrix_spans_sim_tcp_and_shard() {
     for outcome in &outcomes {
         assert_eq!(
             outcome.observations.items().len(),
-            7,
+            8,
             "{}: all auto-fail-over observations recorded",
             outcome.backend
         );

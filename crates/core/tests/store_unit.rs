@@ -1,5 +1,6 @@
-//! Direct unit tests of the store engine: a `StoreReplica` driven by
-//! hand, with every outbound message captured and decoded. These pin the
+//! Direct unit tests of the store engine: a `StoreReplica` (or the
+//! `ControlObject` routing to its sessions) driven by hand, with every
+//! outbound message captured and decoded. These pin the
 //! message-level behaviours the integration tests only observe in the
 //! aggregate.
 
@@ -14,8 +15,9 @@ use std::time::Duration;
 use bytes::Bytes;
 use globe_coherence::{ClientId, ObjectModel, StoreClass, StoreId, VersionVector, WriteId};
 use globe_core::{
-    registers, shared_history, shared_metrics, CallOutcome, CoherenceMsg, NetMsg, OutdateReaction,
-    PeerStore, RegisterDoc, ReplicationPolicy, RequestId, StoreConfig, StoreReplica,
+    registers, shared_history, shared_metrics, CallOutcome, CoherenceMsg, ControlObject, NetMsg,
+    OutdateReaction, PeerStore, RegisterDoc, ReplicationPolicy, RequestId, Session, SessionConfig,
+    StoreConfig, StoreReplica,
 };
 use globe_naming::ObjectId;
 use globe_net::{Event, NetCtx, NodeId, SimNet, SimTime, TimerId, TimerToken, Topology};
@@ -34,11 +36,11 @@ fn capture(net: &mut SimNet, node: NodeId) -> Rc<RefCell<Vec<(NodeId, CoherenceM
 }
 
 /// Passes everything through to the real context, noting each send's
-/// destination and frame kind in the order the engine issued it —
-/// delivery order says nothing about that once links add jitter.
+/// destination and frame in the order the engine issued it — delivery
+/// order says nothing about that once links add jitter.
 struct SendOrder<'a> {
     inner: &'a mut dyn NetCtx,
-    sends: Vec<(NodeId, &'static str)>,
+    sends: Vec<(NodeId, CoherenceMsg)>,
 }
 
 impl NetCtx for SendOrder<'_> {
@@ -50,7 +52,7 @@ impl NetCtx for SendOrder<'_> {
     }
     fn send(&mut self, to: NodeId, payload: Bytes) {
         let env: NetMsg = globe_wire::from_bytes(&payload).expect("valid frame");
-        self.sends.push((to, env.msg.kind_name()));
+        self.sends.push((to, env.msg));
         self.inner.send(to, payload);
     }
     fn set_timer(&mut self, delay: Duration, token: TimerToken) -> TimerId {
@@ -430,6 +432,99 @@ fn forwarded_read_follows_the_sequencer_to_its_successor() {
     );
 }
 
+/// A session resends what its old home never acknowledged the moment
+/// its control object accepts a takeover claim, and only for a claim
+/// it has not seen: a repeated, older-epoch or higher-store-id claim
+/// sends nothing and moves nothing.
+#[test]
+fn new_takeover_claim_resends_unacked_writes_once() {
+    let mut net = SimNet::new(Topology::lan(), 0);
+    let old_home = net.add_node();
+    let new_home = net.add_node();
+    let rival = net.add_node();
+    let client_node = net.add_node();
+    let (object, client) = (ObjectId::new(1), ClientId::new(9));
+    let mut control = ControlObject::proxy_only(object);
+    control.add_session(Session::new(SessionConfig {
+        client,
+        object,
+        model: ObjectModel::Pram,
+        guards: Vec::new(),
+        read_node: old_home,
+        read_store: StoreId::new(0),
+        write_node: old_home,
+        write_store: StoreId::new(0),
+        history: shared_history(),
+        metrics: shared_metrics(),
+    }));
+    // Three pipelined writes; the old home acknowledges only the first.
+    let reqs: Vec<RequestId> = net.with_ctx(client_node, |ctx| {
+        (1..=3)
+            .map(|i| {
+                let put = registers::put("page", format!("v{i}").as_bytes());
+                control.client_write(client, put, ctx).unwrap()
+            })
+            .collect()
+    });
+    let ack = CoherenceMsg::Reply {
+        req: reqs[0],
+        outcome: CallOutcome::Ok(Bytes::new()),
+        version: VersionVector::new(),
+        sees: None,
+        full_state: None,
+    };
+    net.with_ctx(client_node, |ctx| {
+        control.handle_message(old_home, ack, ctx)
+    });
+
+    let mut announce = |from: NodeId, to: NodeId, store: u32, epoch: u64| {
+        let claim = CoherenceMsg::SequencerHandoff {
+            old_home: from,
+            new_home: to,
+            new_home_store: StoreId::new(store),
+            epoch,
+            version: VersionVector::new(),
+            state: Bytes::new(),
+            writers: Vec::new(),
+            order_high: None,
+            log: Vec::new(),
+            peers: Vec::new(),
+        };
+        net.with_ctx(client_node, |ctx| {
+            let mut ctx = SendOrder {
+                inner: ctx,
+                sends: Vec::new(),
+            };
+            control.handle_message(to, claim, &mut ctx);
+            ctx.sends
+        })
+    };
+
+    let resent: Vec<(NodeId, RequestId, u64)> = announce(old_home, new_home, 1, 1)
+        .into_iter()
+        .map(|(to, m)| match m {
+            CoherenceMsg::WriteReq { req, write, .. } => (to, req, write.wid.seq),
+            other => panic!("only write resends expected, got {other:?}"),
+        })
+        .collect();
+    assert_eq!(
+        resent,
+        vec![(new_home, reqs[1], 2), (new_home, reqs[2], 3)],
+        "the winning claim resends the two unacknowledged writes, in WiD order"
+    );
+    let sends = announce(old_home, new_home, 1, 1);
+    assert!(sends.is_empty(), "a relayed re-announcement: {sends:?}");
+    let sends = announce(new_home, old_home, 0, 0);
+    assert!(sends.is_empty(), "an older epoch: {sends:?}");
+    let sends = announce(new_home, rival, 2, 1);
+    assert!(sends.is_empty(), "a same-epoch higher store id: {sends:?}");
+    assert_eq!(
+        control.session(client).unwrap().write_node(),
+        new_home,
+        "stale claims reroute nothing"
+    );
+}
+
 #[test]
 fn group_commit_counters_and_trace_capture_flushes() {
     let policy = ReplicationPolicy::builder(ObjectModel::Pram)
@@ -536,6 +631,7 @@ fn group_commit_fans_out_before_it_acknowledges() {
         }
         ctx.sends
     });
+    let sends: Vec<(NodeId, &str)> = sends.iter().map(|(to, m)| (*to, m.kind_name())).collect();
     let is_ack = |send: &(NodeId, &str)| *send == (client_node, "Reply");
     let first_ack = sends.iter().position(is_ack);
     let fanout = sends
