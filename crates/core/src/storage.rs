@@ -23,7 +23,7 @@
 //! [`RuntimeConfig::durable_dir`]: crate::RuntimeConfig::durable_dir
 
 use std::fs::{self, File, OpenOptions};
-use std::io::Write;
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -298,13 +298,15 @@ impl DurableBackend {
     fn rewrite_wal(&mut self) {
         let tmp = self.wal_path.with_extension("wal.tmp");
         let result = (|| -> std::io::Result<File> {
-            let mut f = File::create(&tmp)?;
+            let mut f = BufWriter::new(File::create(&tmp)?);
             f.write_all(&(self.base as u64).to_le_bytes())?;
             for write in &self.entries {
                 let bytes = globe_wire::to_bytes(write);
                 f.write_all(&(bytes.len() as u32).to_le_bytes())?;
                 f.write_all(&bytes)?;
             }
+            // Flush before the rename: a failed write never replaces the WAL.
+            f.into_inner()?;
             fs::rename(&tmp, &self.wal_path)?;
             OpenOptions::new().append(true).open(&self.wal_path)
         })();
@@ -522,17 +524,18 @@ mod tests {
         let store = StoreId::new(1);
         {
             let mut log = DurableBackend::open(tmp.path(), object, store).unwrap();
-            for seq in 1..=6 {
+            for seq in 1..=1_200 {
                 log.append(&write(1, seq));
             }
-            assert_eq!(log.truncate_covered(&vv(&[(1, 4)])), 4);
-            assert_eq!(log.base(), 4);
+            assert_eq!(log.truncate_covered(&vv(&[(1, 150)])), 150);
+            assert_eq!(log.base(), 150);
         }
         let mut reopened = DurableBackend::open(tmp.path(), object, store).unwrap();
-        assert_eq!(reopened.base(), 4, "base survives the rewrite");
-        assert_eq!(reopened.len(), 6);
+        assert_eq!(reopened.base(), 150, "base survives the rewrite");
+        assert_eq!(reopened.len(), 1_200);
         let recovered = reopened.take_recovery().unwrap();
-        assert_eq!(recovered.log.len(), 2, "only the suffix is on disk");
+        let expected: Vec<LoggedWrite> = (151..=1_200).map(|seq| write(1, seq)).collect();
+        assert_eq!(recovered.log, expected, "exactly the suffix is on disk");
     }
 
     #[test]

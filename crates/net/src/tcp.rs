@@ -3,11 +3,19 @@
 //! The mesh delivers the same [`Event`] stream through the same [`NetCtx`]
 //! interface as the simulator, so any protocol validated deterministically
 //! in [`crate::SimNet`] runs unmodified over real sockets. Frames are
-//! length-prefixed; the first frame on every connection carries the
-//! sender's [`NodeId`].
+//! length-prefixed (4 bytes, big-endian); the first frame on every
+//! connection carries the sender's [`NodeId`].
+//!
+//! Every link runs with `TCP_NODELAY`, which turns each `write` into its
+//! own segment and, at the peer, its own reader wake-up. So the framing
+//! keeps two rules: a frame (prefix and payload, hello included) leaves
+//! in **one vectored write**, and a connection's reader is **buffered**,
+//! so a burst of frames costs one `read`. Each direction of a node pair
+//! has its own connection, and an accepted stream is only ever read, so
+//! the buffer never hides bytes from a writer.
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::{BufReader, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -52,16 +60,36 @@ impl From<std::io::Error> for MeshError {
 
 const MAX_FRAME: u32 = 256 * 1024 * 1024;
 
-fn write_frame(stream: &mut TcpStream, payload: &[u8]) -> std::io::Result<()> {
+/// Writes one frame — the 4-byte big-endian length, then `payload` — as
+/// a single vectored write, looping only over partial writes and
+/// `Interrupted`. Allocates nothing.
+fn write_frame<W: Write>(writer: &mut W, payload: &[u8]) -> std::io::Result<()> {
     let len = (payload.len() as u32).to_be_bytes();
-    stream.write_all(&len)?;
-    stream.write_all(payload)?;
+    let mut slices = [IoSlice::new(&len), IoSlice::new(payload)];
+    let mut pending = &mut slices[..];
+    while !pending.is_empty() {
+        match writer.write_vectored(pending) {
+            Ok(0) => {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::WriteZero,
+                    "failed to write whole frame",
+                ))
+            }
+            Ok(n) => IoSlice::advance_slices(&mut pending, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     Ok(())
 }
 
-fn read_frame(stream: &mut TcpStream) -> std::io::Result<Vec<u8>> {
+/// Up-front payload reservation cap: a frame's buffer grows as its bytes
+/// arrive, so a lying length header cannot claim memory it never sends.
+const PREALLOC_LIMIT: usize = 64 * 1024;
+
+fn read_frame<R: Read>(reader: &mut R) -> std::io::Result<Vec<u8>> {
     let mut len_bytes = [0u8; 4];
-    stream.read_exact(&mut len_bytes)?;
+    reader.read_exact(&mut len_bytes)?;
     let len = u32::from_be_bytes(len_bytes);
     if len > MAX_FRAME {
         return Err(std::io::Error::new(
@@ -69,8 +97,14 @@ fn read_frame(stream: &mut TcpStream) -> std::io::Result<Vec<u8>> {
             "frame exceeds limit",
         ));
     }
-    let mut payload = vec![0u8; len as usize];
-    stream.read_exact(&mut payload)?;
+    let mut payload = Vec::with_capacity((len as usize).min(PREALLOC_LIMIT));
+    reader.take(u64::from(len)).read_to_end(&mut payload)?;
+    if payload.len() != len as usize {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            "frame payload truncated",
+        ));
+    }
     Ok(payload)
 }
 
@@ -247,12 +281,13 @@ fn accept_loop(listener: TcpListener, inbox: Sender<Event>, shared: Arc<MeshShar
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        let Ok(mut stream) = conn else { continue };
+        let Ok(stream) = conn else { continue };
         let inbox = inbox.clone();
         let reader_shared = Arc::clone(&shared);
         let spawned = std::thread::Builder::new()
             .name("globe-reader".into())
             .spawn(move || {
+                let mut stream = BufReader::new(stream);
                 // First frame identifies the peer; a connection that
                 // cannot even say hello is rejected, not crashed on.
                 let Ok(hello) = read_frame(&mut stream) else {
@@ -652,6 +687,274 @@ mod tests {
             }
         }
         assert_eq!(got, (0..200).collect::<Vec<u32>>());
+        mesh.shutdown();
+    }
+
+    /// A `Write` double that counts calls and accepts at most `per_call`
+    /// bytes each time, optionally failing the first call with
+    /// `Interrupted` or every call with `Ok(0)`.
+    struct CountingWriter {
+        out: Vec<u8>,
+        per_call: usize,
+        interrupt_once: bool,
+        stalled: bool,
+        vectored_calls: usize,
+        plain_calls: usize,
+    }
+
+    impl CountingWriter {
+        fn new(per_call: usize) -> Self {
+            CountingWriter {
+                out: Vec::new(),
+                per_call,
+                interrupt_once: false,
+                stalled: false,
+                vectored_calls: 0,
+                plain_calls: 0,
+            }
+        }
+
+        fn accept(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            if std::mem::take(&mut self.interrupt_once) {
+                return Err(std::io::ErrorKind::Interrupted.into());
+            }
+            if self.stalled {
+                return Ok(0);
+            }
+            let mut budget = self.per_call;
+            for buf in bufs {
+                let n = buf.len().min(budget);
+                self.out.extend_from_slice(&buf[..n]);
+                budget -= n;
+            }
+            Ok(self.per_call - budget)
+        }
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.plain_calls += 1;
+            self.accept(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.vectored_calls += 1;
+            self.accept(bufs)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A `Read` double that hands out one byte per call and remembers
+    /// the largest buffer it was asked to fill.
+    struct Trickle<'a> {
+        input: &'a [u8],
+        largest_ask: usize,
+    }
+
+    impl<'a> Trickle<'a> {
+        fn new(input: &'a [u8]) -> Self {
+            Trickle {
+                input,
+                largest_ask: 0,
+            }
+        }
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.largest_ask = self.largest_ask.max(buf.len());
+            match (self.input.split_first(), buf.first_mut()) {
+                (Some((&byte, rest)), Some(slot)) => {
+                    *slot = byte;
+                    self.input = rest;
+                    Ok(1)
+                }
+                _ => Ok(0),
+            }
+        }
+    }
+
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut bytes = (payload.len() as u32).to_be_bytes().to_vec();
+        bytes.extend_from_slice(payload);
+        bytes
+    }
+
+    #[test]
+    fn a_frame_is_one_vectored_write() {
+        let mut w = CountingWriter::new(usize::MAX);
+        write_frame(&mut w, b"payload").unwrap();
+        assert_eq!((w.vectored_calls, w.plain_calls), (1, 0));
+        assert_eq!(w.out, framed(b"payload"));
+    }
+
+    #[test]
+    fn partial_and_interrupted_writes_produce_identical_bytes() {
+        let payload: Vec<u8> = (0..=255).collect();
+        let mut trickled = CountingWriter::new(1);
+        write_frame(&mut trickled, &payload).unwrap();
+        assert_eq!(trickled.out, framed(&payload));
+        assert_eq!(trickled.vectored_calls, 4 + payload.len());
+
+        let mut interrupted = CountingWriter::new(usize::MAX);
+        interrupted.interrupt_once = true;
+        write_frame(&mut interrupted, &payload).unwrap();
+        assert_eq!(interrupted.out, framed(&payload));
+        assert_eq!(interrupted.vectored_calls, 2);
+
+        let mut empty = CountingWriter::new(1);
+        write_frame(&mut empty, b"").unwrap();
+        assert_eq!(empty.out, framed(b""));
+    }
+
+    #[test]
+    fn a_writer_that_accepts_nothing_is_write_zero() {
+        let mut w = CountingWriter::new(usize::MAX);
+        w.stalled = true;
+        let err = write_frame(&mut w, b"x").unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::WriteZero);
+    }
+
+    #[test]
+    fn back_to_back_frames_decode_in_order() {
+        let mut wire = framed(b"one");
+        wire.extend(framed(b""));
+        wire.extend(framed(b"three"));
+        let mut input = &wire[..];
+        assert_eq!(read_frame(&mut input).unwrap(), b"one");
+        assert_eq!(read_frame(&mut input).unwrap(), b"");
+        assert_eq!(read_frame(&mut input).unwrap(), b"three");
+        assert!(input.is_empty());
+        let end = read_frame(&mut input).unwrap_err();
+        assert_eq!(end.kind(), std::io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn a_frame_fed_one_byte_per_read_decodes() {
+        let wire = framed(b"trickled payload");
+        assert_eq!(
+            read_frame(&mut Trickle::new(&wire)).unwrap(),
+            b"trickled payload"
+        );
+    }
+
+    #[test]
+    fn oversized_length_is_invalid_data() {
+        let wire = (MAX_FRAME + 1).to_be_bytes();
+        let err = read_frame(&mut &wire[..]).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn truncated_payload_is_unexpected_eof() {
+        let wire = framed(b"complete");
+        let err = read_frame(&mut &wire[..wire.len() - 1]).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn a_lying_length_header_costs_only_the_bytes_sent() {
+        let mut wire = MAX_FRAME.to_be_bytes().to_vec();
+        wire.extend_from_slice(&[7; 10]);
+        let mut input = Trickle::new(&wire);
+        let err = read_frame(&mut input).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+        // The payload buffer was never sized from the header alone.
+        assert!(input.largest_ask <= PREALLOC_LIMIT, "{}", input.largest_ask);
+    }
+
+    fn addr_of(mesh: &TcpMesh, node: NodeId) -> SocketAddr {
+        mesh.shared.addrs.read()[&node]
+    }
+
+    fn wait_for(mesh: &TcpMesh, what: &str, done: impl Fn(MeshFaultStats) -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !done(mesh.fault_stats()) {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    #[test]
+    fn hostile_peers_are_counted_and_service_continues() {
+        let mesh = TcpMesh::new();
+        let a = mesh.add_node().unwrap();
+        let b = mesh.add_node().unwrap();
+        let (an, bn) = (a.node(), b.node());
+
+        // A hello that is not a 4-byte node id: rejected before service.
+        let mut raw = TcpStream::connect(addr_of(&mesh, bn)).unwrap();
+        raw.write_all(&framed(b"abc")).unwrap();
+        drop(raw);
+        wait_for(&mesh, "a rejected hello", |s| s.rejected_frames == 1);
+
+        // A valid hello, then a length past MAX_FRAME: a disconnect.
+        let mut raw = TcpStream::connect(addr_of(&mesh, bn)).unwrap();
+        raw.write_all(&framed(&an.raw().to_be_bytes())).unwrap();
+        raw.write_all(&(MAX_FRAME + 1).to_be_bytes()).unwrap();
+        wait_for(&mesh, "an oversized frame", |s| s.disconnects == 1);
+        drop(raw);
+
+        // A well-behaved peer is still served.
+        a.sender()
+            .send(bn, Bytes::from_static(b"still up"))
+            .unwrap();
+        match b.recv_timeout(Duration::from_secs(5)) {
+            Some(Event::Message { from, payload }) => {
+                assert_eq!(from, an);
+                assert_eq!(&payload[..], b"still up");
+            }
+            other => panic!("expected message, got {other:?}"),
+        }
+        let stats = mesh.fault_stats();
+        assert_eq!((stats.rejected_frames, stats.disconnects), (1, 1));
+        mesh.shutdown();
+    }
+
+    #[test]
+    fn large_frames_interleaved_with_small_arrive_intact_and_in_order() {
+        let mesh = TcpMesh::new();
+        let a = mesh.add_node().unwrap();
+        let b = mesh.add_node().unwrap();
+        let bn = b.node();
+        // 4 MiB exceeds both the loopback socket buffer and the reader's
+        // BufReader: the sender blocks mid-frame and the reader assembles
+        // the payload from many reads. (A blocking Linux socket finishes
+        // the writev before returning, so short writes are covered by
+        // the `CountingWriter` tests, not here.)
+        let big = |seed: u8| -> Bytes {
+            (0..4 << 20)
+                .map(|i: u32| (i % 251) as u8 ^ seed)
+                .collect::<Vec<u8>>()
+                .into()
+        };
+        let sent = vec![
+            Bytes::from_static(b"first"),
+            big(0),
+            Bytes::from_static(b"middle"),
+            big(0x5a),
+            Bytes::from_static(b"last"),
+        ];
+        let sender = a.sender();
+        let to_send = sent.clone();
+        let writer = std::thread::spawn(move || {
+            for payload in to_send {
+                sender.send(bn, payload).unwrap();
+            }
+        });
+        for expected in &sent {
+            match b.recv_timeout(Duration::from_secs(10)) {
+                Some(Event::Message { payload, .. }) => {
+                    assert_eq!(payload.len(), expected.len());
+                    assert!(payload == *expected, "frame bytes differ");
+                }
+                other => panic!("expected message, got {other:?}"),
+            }
+        }
+        writer.join().unwrap();
         mesh.shutdown();
     }
 }
