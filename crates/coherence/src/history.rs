@@ -106,7 +106,6 @@ impl History {
     }
 
     /// Records a client read.
-    #[allow(clippy::too_many_arguments)]
     pub fn record_read(
         &mut self,
         at: SimTime,

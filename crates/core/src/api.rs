@@ -147,7 +147,10 @@ pub struct RuntimeConfig {
     /// checkpoint snapshots). `None` — the default — keeps every
     /// replica on the RAM-only backend, bit-for-bit the historical
     /// behavior. When set, a restarted store recovers from its local
-    /// files and fetches only the missing log suffix from the home.
+    /// files and fetches only the missing log suffix from the home. A
+    /// directory that cannot be opened leaves the replica on the RAM
+    /// backend, and that and every later disk failure is counted in
+    /// [`MetricsStore::storage_errors`](crate::MetricsStore::storage_errors).
     pub durable_dir: Option<std::path::PathBuf>,
     /// Checkpoint cadence: the home store checkpoints (and starts the
     /// compaction handshake that bounds every replica's write log)

@@ -74,6 +74,7 @@ mod fabric;
 mod ids;
 mod invocation;
 pub mod lifecycle;
+pub mod lock;
 pub mod matrix;
 mod messages;
 mod metrics;

@@ -416,8 +416,11 @@ pub mod fault {
             post: &HashMap<StoreId, Vec<WriteId>>,
         ) {
             for (store, pre_applies) in pre {
-                #[allow(clippy::expect_used)]
-                // lint: allow(panic) — harness assertion: a vanished store history IS the invariant violation this matrix exists to catch
+                #[expect(
+                    clippy::expect_used,
+                    reason = "harness assertion: a vanished store history is the invariant \
+                              violation this matrix exists to catch"
+                )]
                 let post_applies = post.get(store).expect("store history must never vanish");
                 assert!(
                     post_applies.len() >= pre_applies.len()

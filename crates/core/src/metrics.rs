@@ -5,9 +5,9 @@ use std::sync::Arc;
 
 use globe_coherence::{ClientId, History};
 use globe_net::SimTime;
-use parking_lot::Mutex;
 
 use crate::lifecycle::{LifecycleEvent, LifecycleEventKind};
+use crate::lock::{self, Ranked};
 use crate::trace::{ProtocolCounters, TraceEvent, TraceLog, TraceSnapshot};
 use crate::MethodKind;
 
@@ -92,6 +92,11 @@ pub struct MetricsStore {
     op_cursor: usize,
     /// Samples overwritten by the ring since the start of the run.
     pub ops_dropped: u64,
+    /// Storage operations that failed and were survived: a durable
+    /// directory that would not open (the replica fell back to memory),
+    /// or a WAL append, WAL rewrite or checkpoint write that did not
+    /// reach the disk (the log stays in memory).
+    pub storage_errors: u64,
 }
 
 impl MetricsStore {
@@ -176,6 +181,11 @@ impl MetricsStore {
         self.transport.spawn_failures += 1;
     }
 
+    /// Counts one failed storage operation.
+    pub fn record_storage_error(&mut self) {
+        self.storage_errors += 1;
+    }
+
     /// Records a replica lifecycle transition.
     pub fn record_lifecycle(&mut self, event: LifecycleEvent) {
         self.lifecycle.push(event);
@@ -218,19 +228,19 @@ impl MetricsStore {
 }
 
 /// Shared handle to the metrics store.
-pub type SharedMetrics = Arc<Mutex<MetricsStore>>;
+pub type SharedMetrics = Arc<Ranked<MetricsStore, { lock::METRICS }>>;
 
 /// Shared handle to the recorded execution history.
-pub type SharedHistory = Arc<Mutex<History>>;
+pub type SharedHistory = Arc<Ranked<History, { lock::HISTORY }>>;
 
 /// Creates an empty shared metrics store.
 pub fn shared_metrics() -> SharedMetrics {
-    Arc::new(Mutex::new(MetricsStore::default()))
+    Arc::new(Ranked::new(MetricsStore::default()))
 }
 
 /// Creates an empty shared history.
 pub fn shared_history() -> SharedHistory {
-    Arc::new(Mutex::new(History::new()))
+    Arc::new(Ranked::new(History::new()))
 }
 
 #[cfg(test)]

@@ -48,10 +48,10 @@ use globe_naming::ObjectId;
 use globe_net::timer::WallTimer;
 use globe_net::{Event, NetCtx, NodeId, RegionId, SimTime, TimerId, TimerToken};
 use globe_wire::WireDecode;
-use parking_lot::{Mutex, MutexGuard};
 
 use crate::fabric::{Fabric, Plane};
 use crate::lifecycle::DetectorConfig;
+use crate::lock::{self, Ranked, RankedGuard};
 use crate::{AddressSpace, Driver, EnginePort, RuntimeConfig, RuntimeError, SharedMetrics};
 
 /// Default number of shard workers when none is requested.
@@ -100,10 +100,10 @@ impl Lane {
     }
 }
 
-type ShardLane = Arc<Mutex<Lane>>;
+type ShardLane = Arc<Ranked<Lane, { lock::LANE }>>;
 
 /// Takes a lane's lock, checking the invariant every holder restores.
-fn lock_lane(lane: &ShardLane) -> MutexGuard<'_, Lane> {
+fn lock_lane(lane: &ShardLane) -> RankedGuard<'_, Lane, { lock::LANE }> {
     let lane = lane.lock();
     debug_assert!(lane.run.is_empty(), "a lane was released mid-run");
     lane

@@ -33,6 +33,7 @@ use globe_naming::ObjectId;
 use globe_wire::wire_record;
 
 use crate::messages::LoggedWrite;
+use crate::SharedMetrics;
 
 /// Storage knobs carried by [`RuntimeConfig`](crate::RuntimeConfig) and
 /// threaded through the creation plan into every replica.
@@ -50,18 +51,24 @@ pub struct StorageSpec {
 
 impl StorageSpec {
     /// Builds the backend this spec asks for. Falls back to the
-    /// in-memory backend (with a note on stderr) if the durable
-    /// directory cannot be opened.
-    pub(crate) fn make_backend(&self, object: ObjectId, store: StoreId) -> Box<dyn StoreBackend> {
+    /// in-memory backend if the durable directory cannot be opened, and
+    /// counts that, and every later disk failure of a durable backend,
+    /// in `metrics`' [`storage_errors`](crate::MetricsStore::storage_errors).
+    pub(crate) fn make_backend(
+        &self,
+        object: ObjectId,
+        store: StoreId,
+        metrics: &SharedMetrics,
+    ) -> Box<dyn StoreBackend> {
         match &self.durable_dir {
             None => Box::new(MemoryBackend::new()),
             Some(dir) => match DurableBackend::open(dir, object, store) {
-                Ok(backend) => Box::new(backend),
-                Err(e) => {
-                    eprintln!(
-                        "globe-core: durable backend unavailable at {} ({e}); using memory",
-                        dir.display()
-                    );
+                Ok(mut backend) => {
+                    backend.errors = Some(metrics.clone());
+                    Box::new(backend)
+                }
+                Err(_) => {
+                    metrics.lock().record_storage_error();
                     Box::new(MemoryBackend::new())
                 }
             },
@@ -219,6 +226,9 @@ pub struct DurableBackend {
     base: usize,
     entries: Vec<LoggedWrite>,
     recovery: Option<Recovery>,
+    /// Where failed disk writes are counted; `None` for a backend opened
+    /// outside a runtime.
+    errors: Option<SharedMetrics>,
 }
 
 impl DurableBackend {
@@ -241,15 +251,19 @@ impl DurableBackend {
         if let Ok(raw) = fs::read(&wal_path) {
             let mut cursor = &raw[..];
             if cursor.len() >= 8 {
-                #[allow(clippy::unwrap_used)]
-                // lint: allow(panic) — infallible: the slice is exactly 8 bytes by the length check above
+                #[expect(
+                    clippy::unwrap_used,
+                    reason = "infallible: the slice is exactly 8 bytes by the length check above"
+                )]
                 let stored_base = u64::from_le_bytes(cursor[..8].try_into().unwrap());
                 base = stored_base as usize;
                 cursor = &cursor[8..];
                 good_end = 8;
                 while cursor.len() >= 4 {
-                    #[allow(clippy::unwrap_used)]
-                    // lint: allow(panic) — infallible: the slice is exactly 4 bytes by the loop condition
+                    #[expect(
+                        clippy::unwrap_used,
+                        reason = "infallible: the slice is exactly 4 bytes by the loop condition"
+                    )]
                     let len = u32::from_le_bytes(cursor[..4].try_into().unwrap()) as usize;
                     if cursor.len() < 4 + len {
                         break;
@@ -290,6 +304,7 @@ impl DurableBackend {
             base,
             entries,
             recovery,
+            errors: None,
         })
     }
 
@@ -312,10 +327,8 @@ impl DurableBackend {
         })();
         match result {
             Ok(f) => self.wal = f,
-            Err(e) => eprintln!(
-                "globe-core: WAL rewrite failed at {} ({e}); log kept in memory",
-                self.wal_path.display()
-            ),
+            // The log stays in memory.
+            Err(_) => self.count_error(),
         }
     }
 
@@ -325,11 +338,14 @@ impl DurableBackend {
             fs::write(&tmp, globe_wire::to_bytes(image))?;
             fs::rename(&tmp, &self.snap_path)
         })();
-        if let Err(e) = result {
-            eprintln!(
-                "globe-core: checkpoint write failed at {} ({e})",
-                self.snap_path.display()
-            );
+        if result.is_err() {
+            self.count_error();
+        }
+    }
+
+    fn count_error(&self) {
+        if let Some(metrics) = &self.errors {
+            metrics.lock().record_storage_error();
         }
     }
 }
@@ -340,11 +356,8 @@ impl StoreBackend for DurableBackend {
         let mut frame = Vec::with_capacity(4 + bytes.len());
         frame.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
         frame.extend_from_slice(&bytes);
-        if let Err(e) = self.wal.write_all(&frame) {
-            eprintln!(
-                "globe-core: WAL append failed at {} ({e})",
-                self.wal_path.display()
-            );
+        if self.wal.write_all(&frame).is_err() {
+            self.count_error();
         }
         self.entries.push(write.clone());
     }
@@ -399,8 +412,11 @@ impl TempDir {
         let seq = TEMP_DIR_SEQ.fetch_add(1, Ordering::Relaxed);
         let path =
             std::env::temp_dir().join(format!("globe_{prefix}_{}_{seq}", std::process::id()));
-        #[allow(clippy::expect_used)]
-        // lint: allow(panic) — test/bench scaffolding: a temp-dir failure must abort the harness loudly, there is no replica to degrade
+        #[expect(
+            clippy::expect_used,
+            reason = "test and bench scaffolding: a temp-dir failure must abort the harness \
+                      loudly, there is no replica to degrade"
+        )]
         fs::create_dir_all(&path).expect("create temp dir");
         TempDir { path }
     }

@@ -274,7 +274,9 @@ impl StoreReplica {
     pub fn new(config: StoreConfig) -> Self {
         let comm = CommObject::new(config.object, config.metrics.clone());
         let metrics = config.metrics;
-        let mut log = config.storage.make_backend(config.object, config.store_id);
+        let mut log = config
+            .storage
+            .make_backend(config.object, config.store_id, &metrics);
         let recovery = log.take_recovery();
         let mut replica = StoreReplica {
             object: config.object,
@@ -1225,7 +1227,10 @@ impl StoreReplica {
     /// in any order; the delta is applied once the whole set has been
     /// buffered, then the replica's timers are (re)armed exactly as
     /// after a full transfer.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the fields of CoherenceMsg::StateDelta, unpacked by the dispatcher"
+    )]
     pub fn handle_state_delta(
         &mut self,
         chunk: u64,
@@ -1312,7 +1317,10 @@ impl StoreReplica {
     /// log. After this, reads served here are indistinguishable from
     /// reads served before the failure, and the replica's policy timers
     /// are (re)armed.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the fields of CoherenceMsg::StateTransfer, unpacked by the dispatcher"
+    )]
     pub fn handle_state_transfer(
         &mut self,
         version: VersionVector,
@@ -1483,7 +1491,10 @@ impl StoreReplica {
     /// transfer). Stale announcements — an older epoch, or a same-epoch
     /// claim by a higher store id — are rejected: that is the flap
     /// guard that keeps one accepting sequencer per epoch.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the fields of CoherenceMsg::SequencerHandoff, unpacked by the dispatcher"
+    )]
     pub fn handle_sequencer_handoff(
         &mut self,
         old_home: NodeId,

@@ -17,10 +17,10 @@ use std::time::Duration;
 use globe_naming::ObjectId;
 use globe_net::tcp::{TcpEndpoint, TcpMesh};
 use globe_net::{NetCtx, NodeId, RegionId, SimTime};
-use parking_lot::Mutex;
 
 use crate::fabric::{Fabric, Plane};
 use crate::lifecycle::DetectorConfig;
+use crate::lock::{self, Ranked};
 use crate::{
     AddressSpace, CoherenceMsg, CommObject, Driver, EnginePort, RuntimeConfig, RuntimeError,
     SharedMetrics,
@@ -39,8 +39,8 @@ pub struct TcpPlane {
     /// Caller-driven endpoints: every node before `start()`, the client
     /// nodes after it (store nodes leave when their event loops take
     /// ownership).
-    endpoints: HashMap<NodeId, Arc<Mutex<TcpEndpoint>>>,
-    spaces: HashMap<NodeId, Arc<Mutex<AddressSpace>>>,
+    endpoints: HashMap<NodeId, Arc<Ranked<TcpEndpoint, { lock::ENDPOINT }>>>,
+    spaces: HashMap<NodeId, Arc<Ranked<AddressSpace, { lock::SPACE }>>>,
 }
 
 impl TcpPlane {
@@ -127,9 +127,9 @@ impl Fabric for TcpFabric {
         let node = endpoint.node();
         self.plane
             .endpoints
-            .insert(node, Arc::new(Mutex::new(endpoint)));
+            .insert(node, Arc::new(Ranked::new(endpoint)));
         let space = AddressSpace::with_scope(node, self.metrics.clone(), self.detector, 0);
-        self.plane.spaces.insert(node, Arc::new(Mutex::new(space)));
+        self.plane.spaces.insert(node, Arc::new(Ranked::new(space)));
         Ok(node)
     }
 
@@ -190,11 +190,14 @@ impl Fabric for TcpFabric {
             // operation is broken; fail loudly here (like the thread
             // spawns below) instead of surfacing a misleading error from
             // a later set_policy/add_store.
-            #[allow(clippy::expect_used)]
+            #[expect(
+                clippy::expect_used,
+                reason = "fail loud at start(): without a control endpoint every later \
+                          lifecycle call would fail confusingly"
+            )]
             let control = self
                 .mesh
                 .add_node()
-                // lint: allow(panic) — deliberate fail-loud at start(): without a control endpoint every later lifecycle call would fail confusingly
                 .expect("failed to create the control endpoint");
             self.control = Some(control);
         }

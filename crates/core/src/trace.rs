@@ -45,17 +45,6 @@ impl FlushReason {
         FlushReason::Demand,
         FlushReason::Policy,
     ];
-
-    /// Stable label (JSON field names, histograms).
-    pub const fn name(self) -> &'static str {
-        match self {
-            FlushReason::Max => "max",
-            FlushReason::Window => "window",
-            FlushReason::Read => "read",
-            FlushReason::Demand => "demand",
-            FlushReason::Policy => "policy",
-        }
-    }
 }
 
 /// Which path served a read.
@@ -68,17 +57,6 @@ pub enum ReadSource {
     /// A replica answered locally because its policy allows local reads
     /// (leases not in play).
     LocalPolicy,
-}
-
-impl ReadSource {
-    /// Stable label (JSON field names, histograms).
-    pub const fn name(self) -> &'static str {
-        match self {
-            ReadSource::Home => "home",
-            ReadSource::Lease => "lease",
-            ReadSource::LocalPolicy => "local_policy",
-        }
-    }
 }
 
 /// One protocol-significant step, as the emitting replica saw it.
@@ -215,7 +193,8 @@ pub enum ProtocolEvent {
 }
 
 impl ProtocolEvent {
-    /// Stable event-kind label (JSON, histograms).
+    /// Stable event-kind label (the frame catalogue's "Trace story"
+    /// column names these).
     pub const fn kind(&self) -> &'static str {
         match self {
             ProtocolEvent::WriteStaged { .. } => "write_staged",
@@ -504,15 +483,6 @@ impl TraceSnapshot {
         self.events.len()
     }
 
-    /// Counts events per kind label.
-    pub fn kind_histogram(&self) -> BTreeMap<&'static str, u64> {
-        let mut hist = BTreeMap::new();
-        for event in &self.events {
-            *hist.entry(event.event.kind()).or_insert(0) += 1;
-        }
-        hist
-    }
-
     /// Joins per-write stage instants on the node that ordered each
     /// write (the sequencer), keyed by write id. Writes the journal
     /// only partially covers produce partially filled breakdowns.
@@ -599,142 +569,6 @@ impl TraceSnapshot {
         }
         timeline
     }
-
-    /// Serializes the snapshot to JSON (events, counters, derived
-    /// views) — the CI artifact format.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096 + self.events.len() * 96);
-        out.push_str("{\n  \"capacity\": ");
-        out.push_str(&self.capacity.to_string());
-        out.push_str(",\n  \"dropped\": ");
-        out.push_str(&self.dropped.to_string());
-        out.push_str(",\n  \"counters\": ");
-        out.push_str(&self.counters_json());
-        out.push_str(",\n  \"kind_histogram\": {");
-        let hist = self.kind_histogram();
-        for (i, (kind, count)) in hist.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{kind}\": {count}"));
-        }
-        out.push_str("},\n  \"events\": [\n");
-        for (i, event) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push_str(",\n");
-            }
-            out.push_str("    ");
-            out.push_str(&event_json(event));
-        }
-        out.push_str("\n  ]\n}\n");
-        out
-    }
-
-    fn counters_json(&self) -> String {
-        let c = &self.counters;
-        format!(
-            "{{\"flush_max\": {}, \"flush_window\": {}, \"flush_read\": {}, \
-             \"flush_demand\": {}, \"flush_policy\": {}, \"batch_writes\": {}, \
-             \"batch_max_size\": {}, \"lease_served\": {}, \"lease_forwarded\": {}, \
-             \"lease_refused\": {}, \"lease_hit_ratio\": {:.4}, \"log_truncated\": {}}}",
-            c.flush_max,
-            c.flush_window,
-            c.flush_read,
-            c.flush_demand,
-            c.flush_policy,
-            c.batch_writes,
-            c.batch_max_size,
-            c.lease_served,
-            c.lease_forwarded,
-            c.lease_refused,
-            c.lease_hit_ratio(),
-            c.log_truncated,
-        )
-    }
-}
-
-fn event_json(event: &TraceEvent) -> String {
-    let mut detail = String::new();
-    match &event.event {
-        ProtocolEvent::WriteStaged { write }
-        | ProtocolEvent::WriteApplied { write }
-        | ProtocolEvent::WriteAcked { write } => {
-            detail = format!("\"client\": {}, \"seq\": {}", write.client.raw(), write.seq);
-        }
-        ProtocolEvent::BatchFlushed { reason, size } => {
-            detail = format!("\"reason\": \"{}\", \"size\": {}", reason.name(), size);
-        }
-        ProtocolEvent::WriteOrdered { write, seq, epoch } => {
-            detail = format!(
-                "\"client\": {}, \"client_seq\": {}, \"order\": {}, \"epoch\": {}",
-                write.client.raw(),
-                write.seq,
-                seq,
-                epoch
-            );
-        }
-        ProtocolEvent::FanoutSent { peers } => {
-            detail = format!("\"peers\": {peers}");
-        }
-        ProtocolEvent::ReadServed { source } => {
-            detail = format!("\"source\": \"{}\"", source.name());
-        }
-        ProtocolEvent::LeaseGranted { epoch }
-        | ProtocolEvent::LeaseRenewed { epoch }
-        | ProtocolEvent::LeaseRevoked { epoch }
-        | ProtocolEvent::LeaseExpired { epoch }
-        | ProtocolEvent::ElectionStarted { epoch }
-        | ProtocolEvent::TakeoverAnnounced { epoch } => {
-            detail = format!("\"epoch\": {epoch}");
-        }
-        ProtocolEvent::SuspicionRaised { peer } => {
-            detail = format!("\"peer\": {}", peer.raw());
-        }
-        ProtocolEvent::StateTransferSent { to, entries } => {
-            detail = format!("\"to\": {}, \"entries\": {}", to.raw(), entries);
-        }
-        ProtocolEvent::StateTransferInstalled => {}
-        ProtocolEvent::CheckpointTaken { log_len } => {
-            detail = format!("\"log_len\": {log_len}");
-        }
-        ProtocolEvent::CheckpointAcked { from, outstanding } => {
-            detail = format!("\"from\": {}, \"outstanding\": {}", from.raw(), outstanding);
-        }
-        ProtocolEvent::LogCompacted { truncated } => {
-            detail = format!("\"truncated\": {truncated}");
-        }
-        ProtocolEvent::DeltaTransferSent {
-            to,
-            entries,
-            chunks,
-        } => {
-            detail = format!(
-                "\"to\": {}, \"entries\": {}, \"chunks\": {}",
-                to.raw(),
-                entries,
-                chunks
-            );
-        }
-        ProtocolEvent::DeltaTransferInstalled { entries } => {
-            detail = format!("\"entries\": {entries}");
-        }
-        ProtocolEvent::CheckpointInstalled { version } => {
-            let clocks: Vec<String> = version
-                .iter()
-                .map(|(client, seq)| format!("\"{}\": {}", client.raw(), seq))
-                .collect();
-            detail = format!("\"version\": {{{}}}", clocks.join(", "));
-        }
-    }
-    let sep = if detail.is_empty() { "" } else { ", " };
-    format!(
-        "{{\"at_ns\": {}, \"node\": {}, \"object\": {}, \"store\": {}, \"kind\": \"{}\"{sep}{detail}}}",
-        event.at.as_nanos(),
-        event.node.raw(),
-        event.object.raw(),
-        event.store.raw(),
-        event.event.kind(),
-    )
 }
 
 /// One invariant the journal contradicts.
@@ -1157,26 +991,5 @@ mod tests {
                 (wid(3), ms(5), ms(5)),
             ]
         );
-    }
-
-    #[test]
-    fn snapshot_json_includes_counters_and_events() {
-        let snap = TraceSnapshot {
-            capacity: 4,
-            dropped: 1,
-            events: vec![ev(
-                2,
-                1,
-                ProtocolEvent::BatchFlushed {
-                    reason: FlushReason::Read,
-                    size: 3,
-                },
-            )],
-            counters: ProtocolCounters::default(),
-        };
-        let json = snap.to_json();
-        assert!(json.contains("\"batch_flushed\""));
-        assert!(json.contains("\"reason\": \"read\""));
-        assert!(json.contains("\"dropped\": 1"));
     }
 }

@@ -2,9 +2,11 @@
 //! after crashes, and policy changes mid-flight — the "flexibility needed
 //! in an evolutionary system such as the Web" (§5).
 
-// Test-only crate: helper fns outside #[test] bodies may unwrap/expect
-// (clippy's allow-unwrap-in-tests only covers #[test] functions).
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "test-only crate: clippy's in-tests exemptions cover #[test] bodies, not helpers"
+)]
 
 use std::time::Duration;
 

@@ -10,9 +10,11 @@
 //! predates `wire_tagged!`; a deliberate format change must update it
 //! here, in the same commit, where a reviewer sees it.
 
-// Test-only crate: helper fns outside #[test] bodies may unwrap/expect
-// (clippy's allow-unwrap-in-tests only covers #[test] functions).
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "test-only crate: clippy's in-tests exemptions cover #[test] bodies, not helpers"
+)]
 
 use bytes::Bytes;
 use globe_coherence::{ClientId, StoreClass, StoreId, VersionVector, WriteId};

@@ -1,9 +1,11 @@
 //! Negative paths of the runtime API: every misuse must surface as a
 //! typed error, never a panic or a silent success.
 
-// Test-only crate: helper fns outside #[test] bodies may unwrap/expect
-// (clippy's allow-unwrap-in-tests only covers #[test] functions).
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "test-only crate: clippy's in-tests exemptions cover #[test] bodies, not helpers"
+)]
 
 use globe_coherence::{ClientId, ObjectModel, StoreClass, StoreId};
 use globe_core::{
@@ -326,4 +328,28 @@ fn tcp_create_after_start_is_refused_not_fatal() {
     let read = tcp.handle(handle).read(registers::get("p")).unwrap();
     assert_eq!(&read[..], b"v");
     tcp.shutdown();
+}
+
+#[test]
+fn unusable_durable_dir_falls_back_to_memory_and_is_counted() {
+    // The durable directory names a regular file, so the store's WAL
+    // cannot open: the replica runs on the in-memory log instead, and
+    // the failure is counted where a deployment can see it.
+    let tmp = globe_core::TempDir::new("durable_is_a_file");
+    let file = tmp.path().join("not_a_dir");
+    std::fs::write(&file, b"").unwrap();
+    let config = globe_core::RuntimeConfig::new().seed(5).durable_dir(&file);
+    let mut sim = GlobeSim::with_config(Topology::lan(), config);
+    let server = sim.add_node();
+    let object = ObjectSpec::new("/d")
+        .policy(policy())
+        .semantics_boxed(doc)
+        .home(server)
+        .create(&mut sim)
+        .unwrap();
+    let handle = sim.bind(object, server, BindOptions::new()).unwrap();
+    sim.handle(handle).write(registers::put("p", b"v")).unwrap();
+    let read = sim.handle(handle).read(registers::get("p")).unwrap();
+    assert_eq!(&read[..], b"v");
+    assert_eq!(sim.metrics().lock().storage_errors, 1);
 }

@@ -5,9 +5,11 @@
 //! three backends report identical logical outcomes. Only construction
 //! differs; every create/bind/invoke call goes through the trait.
 
-// Test-only crate: helper fns outside #[test] bodies may unwrap/expect
-// (clippy's allow-unwrap-in-tests only covers #[test] functions).
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "test-only crate: clippy's in-tests exemptions cover #[test] bodies, not helpers"
+)]
 
 use std::time::Duration;
 

@@ -4,9 +4,11 @@
 //! message-level behaviours the integration tests only observe in the
 //! aggregate.
 
-// Test-only crate: helper fns outside #[test] bodies may unwrap/expect
-// (clippy's allow-unwrap-in-tests only covers #[test] functions).
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "test-only crate: clippy's in-tests exemptions cover #[test] bodies, not helpers"
+)]
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -372,6 +374,29 @@ fn invalidated_page_read_demands_from_home() {
     assert!(r.client_log.borrow().is_empty(), "read parked until data");
 }
 
+/// Announces a takeover by `store` on `new_home` at `epoch` to the rig's
+/// replica, as a retiring home's relay would.
+fn announce_takeover(r: &mut Rig, new_home: NodeId, store: u32, epoch: u64) {
+    let replica = &mut r.store;
+    let old_home = replica.home_node();
+    r.net.with_ctx(r.peer_node, |ctx| {
+        replica.handle_sequencer_handoff(
+            old_home,
+            new_home,
+            StoreId::new(store),
+            epoch,
+            VersionVector::new(),
+            globe_core::Semantics::snapshot(&RegisterDoc::new()),
+            Vec::new(),
+            None,
+            Vec::new(),
+            Vec::new(),
+            ctx,
+        );
+    });
+    r.net.run_until_quiescent();
+}
+
 /// With read leases on, a replica without a lease forwards reads to
 /// the sequencer, and nothing else retries a read. When the sequencer
 /// moves, the replica re-forwards the reads it still owes an answer: a
@@ -408,27 +433,62 @@ fn forwarded_read_follows_the_sequencer_to_its_successor() {
     assert!(r.client_log.borrow().is_empty(), "and not yet answered");
 
     // The sequencer hands over before it served the read.
-    let (store, home_node) = (&mut r.store, r.home_node);
-    r.net.with_ctx(r.peer_node, |ctx| {
-        store.handle_sequencer_handoff(
-            home_node,
-            successor,
-            StoreId::new(2),
-            1,
-            VersionVector::new(),
-            globe_core::Semantics::snapshot(&RegisterDoc::new()),
-            Vec::new(),
-            None,
-            Vec::new(),
-            Vec::new(),
-            ctx,
-        );
-    });
-    r.net.run_until_quiescent();
+    announce_takeover(&mut r, successor, 2, 1);
     assert!(
         successor_log.borrow().iter().any(is_the_read),
         "the unanswered read must reach the new sequencer: {:?}",
         successor_log.borrow()
+    );
+}
+
+/// A takeover announced from an epoch older than the one the replica
+/// follows is stale — a deposed home's claim arriving late — and moves
+/// nothing, even from a store that would win a same-epoch tie-break.
+#[test]
+fn sequencer_handoff_from_an_older_epoch_is_refused() {
+    let policy = ReplicationPolicy::builder(ObjectModel::Sequential)
+        .immediate()
+        .build()
+        .unwrap();
+    let mut r = rig(policy, false);
+    let (current, stale) = (r.net.add_node(), r.net.add_node());
+    announce_takeover(&mut r, current, 3, 2);
+    assert_eq!((r.store.home_node(), r.store.home_epoch()), (current, 2));
+
+    announce_takeover(&mut r, stale, 1, 1);
+    assert_eq!(
+        (r.store.home_node(), r.store.home_epoch()),
+        (current, 2),
+        "an epoch-1 claim must not displace the epoch-2 sequencer"
+    );
+}
+
+/// Two claims in one epoch (an election raced a flap): the lower store
+/// id wins, whichever arrives first, so every replica settles on the
+/// same sequencer.
+#[test]
+fn same_epoch_handoff_goes_to_the_lower_store_id() {
+    let policy = ReplicationPolicy::builder(ObjectModel::Sequential)
+        .immediate()
+        .build()
+        .unwrap();
+    let mut r = rig(policy, false);
+    let (first, lower, higher) = (r.net.add_node(), r.net.add_node(), r.net.add_node());
+    announce_takeover(&mut r, first, 3, 1);
+    assert_eq!((r.store.home_node(), r.store.home_epoch()), (first, 1));
+
+    announce_takeover(&mut r, lower, 2, 1);
+    assert_eq!(
+        (r.store.home_node(), r.store.home_epoch()),
+        (lower, 1),
+        "a same-epoch claim by a lower store id is accepted"
+    );
+
+    announce_takeover(&mut r, higher, 5, 1);
+    assert_eq!(
+        (r.store.home_node(), r.store.home_epoch()),
+        (lower, 1),
+        "a same-epoch claim by a higher store id is refused"
     );
 }
 

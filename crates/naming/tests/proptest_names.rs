@@ -1,9 +1,11 @@
 //! Property tests for the naming layer: parse/display round-trips, wire
 //! round-trips, prefix laws, and location-service determinism.
 
-// Test-only crate: helper fns outside #[test] bodies may unwrap/expect
-// (clippy's allow-unwrap-in-tests only covers #[test] functions).
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "test-only crate: clippy's in-tests exemptions cover #[test] bodies, not helpers"
+)]
 
 use globe_coherence::StoreClass;
 use globe_naming::{ContactRecord, LocationService, NameSpace, ObjectId, ObjectName};

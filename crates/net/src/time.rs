@@ -66,10 +66,8 @@ impl SimTime {
         self.0 as f64 / 1e9
     }
 
-    /// Saturating duration since an earlier instant.
-    ///
-    /// Unlike the `Sub` impl this never panics, making it safe for
-    /// staleness arithmetic on instants whose order is data-dependent.
+    /// Saturating duration since an earlier instant: zero if `earlier`
+    /// is in fact later. `self - earlier` means the same.
     pub fn saturating_since(self, earlier: SimTime) -> Duration {
         Duration::from_nanos(self.0.saturating_sub(earlier.0))
     }
@@ -92,29 +90,12 @@ impl AddAssign<Duration> for SimTime {
 impl Sub<SimTime> for SimTime {
     type Output = Duration;
 
-    /// Exact difference between two instants whose order is statically
-    /// known — **test and bench arithmetic only**. Runtime code that
-    /// compares instants whose order is data-dependent (detector
-    /// staleness, latency accounting, anything fed by timestamps a
-    /// reordered or late event may have recorded) must use
-    /// [`SimTime::saturating_since`], which degrades to zero instead of
+    /// The time from `rhs` to `self`, zero if `rhs` is later: the same
+    /// as [`SimTime::saturating_since`], so an instant recorded by a
+    /// reordered or late event degrades a latency to zero instead of
     /// aborting the process.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rhs` is later than `self`; use
-    /// [`SimTime::saturating_since`] when order is uncertain.
-    // Documented contract (see above): the panicking form is for test
-    // assertions where underflow is a bug; protocol code must use
-    // `saturating_since`, which globe-lint's time rule enforces.
-    #[allow(clippy::expect_used)]
     fn sub(self, rhs: SimTime) -> Duration {
-        Duration::from_nanos(
-            self.0
-                .checked_sub(rhs.0)
-                // lint: allow(panic) — documented contract: panicking Sub is the test-assertion form; protocol code uses saturating_since (enforced by the time rule)
-                .expect("SimTime subtraction underflow"),
-        )
+        self.saturating_since(rhs)
     }
 }
 
@@ -162,9 +143,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "underflow")]
-    fn sub_underflow_panics() {
-        let _ = SimTime::ZERO - SimTime::from_nanos(1);
+    fn sub_saturates_at_zero() {
+        assert_eq!(SimTime::ZERO - SimTime::from_nanos(1), Duration::ZERO);
+        assert_eq!(
+            SimTime::from_millis(1) - SimTime::from_millis(9),
+            SimTime::from_millis(1).saturating_since(SimTime::from_millis(9))
+        );
     }
 
     #[test]
