@@ -199,11 +199,12 @@ impl MetricsStore {
         self.lifecycle.iter().filter(move |e| e.kind == kind)
     }
 
-    /// Accounts one protocol message of `kind` and `bytes` payload.
-    pub fn record_msg(&mut self, kind: &'static str, bytes: usize) {
+    /// Accounts `count` protocol messages of `kind` (one multicast),
+    /// each of `bytes` payload.
+    pub fn record_msgs(&mut self, kind: &'static str, count: usize, bytes: usize) {
         let entry = self.traffic.entry(kind).or_default();
-        entry.count += 1;
-        entry.bytes += bytes as u64;
+        entry.count += count as u64;
+        entry.bytes += (count * bytes) as u64;
     }
 
     /// Total messages across all kinds.
@@ -274,12 +275,13 @@ mod tests {
     #[test]
     fn traffic_accumulates() {
         let mut m = MetricsStore::default();
-        m.record_msg("Update", 100);
-        m.record_msg("Update", 50);
-        m.record_msg("Notify", 10);
-        assert_eq!(m.total_messages(), 3);
-        assert_eq!(m.total_bytes(), 160);
+        m.record_msgs("Update", 1, 100);
+        m.record_msgs("Update", 1, 50);
+        m.record_msgs("Notify", 2, 10);
+        assert_eq!(m.total_messages(), 4);
+        assert_eq!(m.total_bytes(), 170);
         assert_eq!(m.traffic["Update"].count, 2);
+        assert_eq!(m.traffic["Notify"].bytes, 20);
     }
 
     #[test]

@@ -13,6 +13,13 @@
 //! copy of X's address space. That keeps each object's protocol
 //! single-threaded (no per-object races to reason about).
 //!
+//! A frame never leaves the process, so it stays a value: the context
+//! takes the sender's [`NetMsg`] through [`NetCtx::send_value`], routes
+//! it by its object id, and the receiver's
+//! [`AddressSpace::handle_msg`] gets it as built, with no encoding and
+//! no decoding between. Only a frame injected as bytes
+//! ([`GlobeShard::inject_frame`]) is decoded, at the router.
+//!
 //! Delivery is *run to completion*: a frame a handler sends about an
 //! object of the lane it is running in joins the lane's run queue, and
 //! whichever thread holds the lane lock handles the queue, first in
@@ -35,6 +42,7 @@
 //! than captive on an event-loop thread, so the caller may act as any
 //! node at any time and lifecycle operations need no relay.
 
+use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -47,12 +55,11 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use globe_naming::ObjectId;
 use globe_net::timer::WallTimer;
 use globe_net::{Event, NetCtx, NodeId, RegionId, SimTime, TimerId, TimerToken};
-use globe_wire::WireDecode;
 
 use crate::fabric::{Fabric, Plane};
 use crate::lifecycle::DetectorConfig;
 use crate::lock::{self, Ranked, RankedGuard};
-use crate::{AddressSpace, Driver, EnginePort, RuntimeConfig, RuntimeError, SharedMetrics};
+use crate::{AddressSpace, Driver, EnginePort, NetMsg, RuntimeConfig, RuntimeError, SharedMetrics};
 
 /// Default number of shard workers when none is requested.
 pub const DEFAULT_SHARDS: usize = 4;
@@ -63,9 +70,18 @@ pub const DEFAULT_SHARDS: usize = 4;
 /// serves; a tight poll loop would starve the worker of the lane lock.
 const POLL_BACKOFF: Duration = Duration::from_micros(200);
 
-/// An event for a lane: which node's address space must handle it, and
-/// the event itself.
-type ShardEvent = (NodeId, Event);
+/// What a lane hands one node's address space.
+enum Delivery {
+    /// A frame, as the value its sender built: nothing in process is
+    /// encoded or decoded.
+    Msg { from: NodeId, env: NetMsg },
+    /// A timer armed by the node.
+    Timer(TimerToken),
+}
+
+/// A delivery for a lane: which node's address space must handle it,
+/// and what.
+type ShardEvent = (NodeId, Delivery);
 
 /// The state one lane owns, behind the lane's lock.
 #[derive(Default)]
@@ -86,7 +102,7 @@ impl Lane {
     /// Handles queued frames, and the frames handling them sends, until
     /// none is left.
     fn run_to_completion(&mut self, index: usize, router: &Arc<ShardRouter>) {
-        while let Some((node, event)) = self.run.pop_front() {
+        while let Some((node, delivery)) = self.run.pop_front() {
             if let Some(space) = self.spaces.get_mut(&node) {
                 let mut ctx = ShardCtx {
                     node,
@@ -94,7 +110,10 @@ impl Lane {
                     run: &mut self.run,
                     router,
                 };
-                space.handle_event(event, &mut ctx);
+                match delivery {
+                    Delivery::Msg { from, env } => space.handle_msg(from, env, &mut ctx),
+                    Delivery::Timer(token) => space.handle_event(Event::Timer { token }, &mut ctx),
+                }
             }
         }
     }
@@ -129,24 +148,22 @@ impl ShardRouter {
         (object.raw() % self.inboxes.len() as u64) as usize
     }
 
-    /// The object a frame is about. The wire envelope leads with the
-    /// object id; peeking it is enough to pick the owning lane without
-    /// decoding the message.
-    fn frame_object(&self, payload: &Bytes) -> Option<ObjectId> {
-        let mut cursor: &[u8] = payload;
-        let object = ObjectId::decode(&mut cursor).ok();
-        if object.is_none() {
-            // Corrupt frame: drop, like a bad datagram, but observably.
+    /// Decodes a frame that arrived as bytes (only an injected one
+    /// does), counting a corrupt one as it drops it, like a bad
+    /// datagram.
+    fn decode(&self, payload: &Bytes) -> Option<NetMsg> {
+        let env = globe_wire::from_bytes(payload).ok();
+        if env.is_none() {
             self.metrics.lock().record_malformed_frame();
         }
-        object
+        env
     }
 
-    /// Hands an event to the worker of the lane owning `object`.
-    fn deliver(&self, object: ObjectId, node: NodeId, event: Event) {
+    /// Hands a delivery to the worker of the lane owning `object`.
+    fn deliver(&self, object: ObjectId, node: NodeId, delivery: Delivery) {
         // A send can only fail after shutdown, when the receivers are
-        // gone; dropping the event then is correct.
-        let _ = self.inboxes[self.shard_of(object)].send((node, event));
+        // gone; dropping the delivery then is correct.
+        let _ = self.inboxes[self.shard_of(object)].send((node, delivery));
     }
 
     fn now(&self) -> SimTime {
@@ -173,18 +190,22 @@ impl NetCtx for ShardCtx<'_> {
     }
 
     fn send(&mut self, to: NodeId, payload: Bytes) {
-        let Some(object) = self.router.frame_object(&payload) else {
-            return;
-        };
-        let event = Event::Message {
-            from: self.node,
-            payload,
-        };
-        if self.router.shard_of(object) == self.lane {
-            self.run.push_back((to, event));
-        } else {
-            self.router.deliver(object, to, event);
+        if let Some(env) = self.router.decode(&payload) {
+            self.post(to, env);
         }
+    }
+
+    /// Takes the frame as a value: the receiver handles the sender's
+    /// [`NetMsg`] itself, never an encoding of it.
+    fn send_value(&mut self, to: NodeId, value: &mut dyn Any) -> bool {
+        match value
+            .downcast_mut::<Option<NetMsg>>()
+            .and_then(Option::take)
+        {
+            Some(env) => self.post(to, env),
+            None => self.router.metrics.lock().record_malformed_frame(),
+        }
+        true
     }
 
     fn set_timer(&mut self, delay: Duration, token: TimerToken) -> TimerId {
@@ -195,12 +216,29 @@ impl NetCtx for ShardCtx<'_> {
         // under the timer service's heap lock, and this method runs under
         // the lane lock, so a closure that took the lane would deadlock.
         self.router.timer.arm(delay, move || {
-            router.deliver(object, node, Event::Timer { token })
+            router.deliver(object, node, Delivery::Timer(token))
         })
     }
 
     fn cancel_timer(&mut self, id: TimerId) {
         self.router.timer.cancel(id);
+    }
+}
+
+impl ShardCtx<'_> {
+    /// Queues `env` for `to`: on this lane's run queue when this lane
+    /// owns the frame's object, else in the owning lane's inbox.
+    fn post(&mut self, to: NodeId, env: NetMsg) {
+        let object = env.object;
+        let delivery = Delivery::Msg {
+            from: self.node,
+            env,
+        };
+        if self.router.shard_of(object) == self.lane {
+            self.run.push_back((to, delivery));
+        } else {
+            self.router.deliver(object, to, delivery);
+        }
     }
 }
 
@@ -492,12 +530,8 @@ impl Driver<ShardFabric> {
     #[doc(hidden)]
     pub fn inject_frame(&mut self, node: NodeId, to: NodeId, payload: Bytes) {
         let router = &self.fabric.plane.router;
-        if let Some(object) = router.frame_object(&payload) {
-            let event = Event::Message {
-                from: node,
-                payload,
-            };
-            router.deliver(object, to, event);
+        if let Some(env) = router.decode(&payload) {
+            router.deliver(env.object, to, Delivery::Msg { from: node, env });
         }
     }
 }
@@ -505,5 +539,50 @@ impl Driver<ShardFabric> {
 impl Default for Driver<ShardFabric> {
     fn default() -> Self {
         GlobeShard::with_config(RuntimeConfig::new())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use globe_coherence::VersionVector;
+
+    use crate::{shared_metrics, CoherenceMsg};
+
+    use super::*;
+
+    #[test]
+    fn a_value_of_the_wrong_type_is_counted_and_dropped() {
+        let metrics = shared_metrics();
+        let fabric = ShardFabric::new(1, metrics.clone(), DetectorConfig::disabled());
+        let (from, to) = (NodeId::new(0), NodeId::new(1));
+        let mut run = VecDeque::new();
+        let mut ctx = ShardCtx {
+            node: from,
+            lane: 0,
+            run: &mut run,
+            router: &fabric.plane.router,
+        };
+        assert!(ctx.send_value(to, &mut Some(7u32)));
+        assert!(ctx.send_value(to, &mut None::<NetMsg>));
+        let env = NetMsg {
+            object: ObjectId::new(3),
+            msg: CoherenceMsg::Notify {
+                version: VersionVector::new(),
+            },
+        };
+        assert!(ctx.send_value(to, &mut Some(env.clone())));
+        assert_eq!(metrics.lock().transport.malformed_frames, 2);
+        assert_eq!(run.len(), 1, "only the frame is queued");
+        let Some((
+            node,
+            Delivery::Msg {
+                from: sender,
+                env: got,
+            },
+        )) = run.pop_front()
+        else {
+            panic!("a queued frame");
+        };
+        assert_eq!((node, sender, got), (to, from, env));
     }
 }

@@ -21,7 +21,7 @@ use globe_naming::ObjectId;
 use globe_net::{Event, NetCtx, NodeId, SimTime, TimerId, TimerToken};
 
 use crate::lifecycle::{DetectorConfig, NodeDetector, StoreHealth};
-use crate::{CoherenceMsg, ControlObject, NetMsg, SharedMetrics, TimerKind};
+use crate::{comm, CoherenceMsg, ControlObject, NetMsg, SharedMetrics, TimerKind};
 
 /// First envelope object id reserved for node-scoped traffic (detector
 /// frames). Ids `NODE_SCOPE_BASE + k` address the node-level machinery
@@ -215,15 +215,16 @@ impl AddressSpace {
                 }
             }
         }
-        let seq = self.detector.next_seq();
-        let ping = globe_wire::to_bytes(&NetMsg {
-            object: self.scope,
-            msg: CoherenceMsg::NodePing { seq },
-        });
-        for &node in &outcome.ping {
-            self.metrics.lock().record_msg("NodePing", ping.len());
-            ctx.send(node, ping.clone());
-        }
+        let ping = CoherenceMsg::NodePing {
+            seq: self.detector.next_seq(),
+        };
+        comm::post(
+            ctx,
+            &self.metrics,
+            self.scope,
+            outcome.ping.iter().copied(),
+            &ping,
+        );
         if !monitored.is_empty() {
             ctx.set_timer(period, timer_token(self.scope, TimerKind::Heartbeat));
         } else {
@@ -249,63 +250,59 @@ impl AddressSpace {
             }
         }
         if let CoherenceMsg::NodePing { seq } = msg {
-            let pong = globe_wire::to_bytes(&NetMsg {
-                object: scope,
-                msg: CoherenceMsg::NodePong { seq },
-            });
-            self.metrics.lock().record_msg("NodePong", pong.len());
-            ctx.send(from, pong);
+            let pong = CoherenceMsg::NodePong { seq };
+            comm::post(ctx, &self.metrics, scope, [from], &pong);
         }
     }
 
-    /// Routes one network event to the owning control object (or, for
-    /// node-scoped frames and the heartbeat timer, to the node-level
-    /// detector).
+    /// Handles one network event: a frame is decoded and handed to
+    /// [`AddressSpace::handle_msg`], a timer to the object (or, for the
+    /// heartbeat, the node-level detector) that armed it.
     pub fn handle_event(&mut self, event: Event, ctx: &mut dyn NetCtx) {
-        if self.partitioned {
-            match event {
-                // Isolated: inbound traffic never arrives…
-                Event::Message { .. } => return,
-                // …but local timers still fire, with sends muted.
-                Event::Timer { .. } => {
-                    let mut muted = MutedCtx { inner: ctx };
-                    return self.handle_event_inner(event, &mut muted);
-                }
+        match event {
+            Event::Message { from, payload } => match globe_wire::from_bytes::<NetMsg>(&payload) {
+                Ok(env) => self.handle_msg(from, env, ctx),
+                // Corrupt frame: drop, like a bad datagram — but make the
+                // drop observable instead of silent.
+                Err(_) => self.metrics.lock().record_malformed_frame(),
+            },
+            // Isolated, local timers still fire, with sends muted.
+            Event::Timer { token } if self.partitioned => {
+                self.handle_timer(token, &mut MutedCtx { inner: ctx });
             }
+            Event::Timer { token } => self.handle_timer(token, ctx),
         }
-        self.handle_event_inner(event, ctx)
     }
 
-    fn handle_event_inner(&mut self, event: Event, ctx: &mut dyn NetCtx) {
-        match event {
-            Event::Message { from, payload } => {
-                let Ok(env) = globe_wire::from_bytes::<NetMsg>(&payload) else {
-                    // Corrupt frame: drop, like a bad datagram — but make
-                    // the drop observable instead of silent.
-                    self.metrics.lock().record_malformed_frame();
-                    return;
-                };
-                if env.object.raw() >= NODE_SCOPE_BASE {
-                    self.handle_node_msg(from, env.object, env.msg, ctx);
-                    return;
-                }
-                if let Some(control) = self.objects.get_mut(&env.object) {
-                    control.handle_message(from, env.msg, ctx);
-                }
+    /// Routes one frame to the owning control object (or, for
+    /// node-scoped frames, to the node-level detector). Byte transports
+    /// call this after decoding; the in-process runtime calls it with
+    /// the value the sender built.
+    pub fn handle_msg(&mut self, from: NodeId, env: NetMsg, ctx: &mut dyn NetCtx) {
+        if self.partitioned {
+            // Isolated: inbound traffic never arrives.
+            return;
+        }
+        if env.object.raw() >= NODE_SCOPE_BASE {
+            self.handle_node_msg(from, env.object, env.msg, ctx);
+            return;
+        }
+        if let Some(control) = self.objects.get_mut(&env.object) {
+            control.handle_message(from, env.msg, ctx);
+        }
+    }
+
+    fn handle_timer(&mut self, token: TimerToken, ctx: &mut dyn NetCtx) {
+        let (object, kind) = decode_timer(token);
+        let Some(kind) = kind else { return };
+        if object.raw() >= NODE_SCOPE_BASE {
+            if kind == TimerKind::Heartbeat {
+                self.heartbeat_round(ctx);
             }
-            Event::Timer { token } => {
-                let (object, kind) = decode_timer(token);
-                let Some(kind) = kind else { return };
-                if object.raw() >= NODE_SCOPE_BASE {
-                    if kind == TimerKind::Heartbeat {
-                        self.heartbeat_round(ctx);
-                    }
-                    return;
-                }
-                if let Some(control) = self.objects.get_mut(&object) {
-                    control.handle_timer(kind, ctx);
-                }
-            }
+            return;
+        }
+        if let Some(control) = self.objects.get_mut(&object) {
+            control.handle_timer(kind, ctx);
         }
     }
 }

@@ -948,10 +948,7 @@ impl StoreReplica {
     }
 
     /// Coalesced propagation after a batch flush: each in-scope peer
-    /// gets everything it has not been sent, as a single
-    /// [`CoherenceMsg::WriteBatch`] when the run is an ordered multi-write
-    /// sequence under partial update propagation, or the policy's usual
-    /// transfer message otherwise.
+    /// gets everything it has not been sent, as one message.
     fn propagate_flushed(&mut self, ctx: &mut dyn NetCtx) {
         if !self.is_home
             || self.policy.instant != TransferInstant::Immediate
@@ -959,6 +956,35 @@ impl StoreReplica {
         {
             return;
         }
+        self.fan_out(Self::flushed_msg, ctx);
+    }
+
+    /// The message a peer gets after a batch flush: a single
+    /// [`CoherenceMsg::WriteBatch`] when the run is an ordered
+    /// multi-write sequence under partial update propagation, or the
+    /// policy's usual transfer message otherwise.
+    fn flushed_msg(&self, pending: &[LoggedWrite]) -> CoherenceMsg {
+        let batched_run = pending.len() > 1
+            && self.policy.propagation == Propagation::Update
+            && self.policy.coherence_transfer == CoherenceTransfer::Partial
+            && pending.iter().all(|w| w.order.is_some());
+        if batched_run {
+            CoherenceMsg::WriteBatch {
+                first_order: pending[0].order.unwrap_or(0),
+                writes: pending.to_vec(),
+                version: self.applied.clone(),
+            }
+        } else {
+            self.transfer_msg(pending)
+        }
+    }
+
+    /// Sends each in-scope peer, in peer order, the message `build`
+    /// makes of everything that peer has not been sent yet. Consecutive
+    /// peers missing the same suffix share one message, multicast to
+    /// them, so the frame is built (and on a byte transport encoded)
+    /// once for all of them.
+    fn fan_out(&mut self, build: fn(&Self, &[LoggedWrite]) -> CoherenceMsg, ctx: &mut dyn NetCtx) {
         let peers: Vec<PeerStore> = self
             .peers
             .iter()
@@ -967,32 +993,33 @@ impl StoreReplica {
             .collect();
         let log_len = self.log.len();
         let mut sent_to = 0usize;
-        for peer in peers {
-            let sent = self.peer_sent.get(&peer.node).copied().unwrap_or(0);
+        let mut rest = &peers[..];
+        while let Some(first) = rest.first() {
+            let sent = self.sent_to(first.node);
+            let run = rest
+                .iter()
+                .take_while(|p| self.sent_to(p.node) == sent)
+                .count();
+            let (group, tail) = rest.split_at(run);
+            rest = tail;
             if sent >= log_len {
                 continue;
             }
-            let pending = self.log.suffix_from(sent);
-            let batched_run = pending.len() > 1
-                && self.policy.propagation == Propagation::Update
-                && self.policy.coherence_transfer == CoherenceTransfer::Partial
-                && pending.iter().all(|w| w.order.is_some());
-            let msg = if batched_run {
-                CoherenceMsg::WriteBatch {
-                    first_order: pending[0].order.unwrap_or(0),
-                    writes: pending.to_vec(),
-                    version: self.applied.clone(),
-                }
-            } else {
-                self.transfer_msg(pending)
-            };
-            self.comm.send(ctx, peer.node, &msg);
-            self.peer_sent.insert(peer.node, log_len);
-            sent_to += 1;
+            let msg = build(self, self.log.suffix_from(sent));
+            self.comm.multicast(ctx, group.iter().map(|p| p.node), &msg);
+            for peer in group {
+                self.peer_sent.insert(peer.node, log_len);
+            }
+            sent_to += group.len();
         }
         if sent_to > 0 {
             self.trace_event(ctx, ProtocolEvent::FanoutSent { peers: sent_to });
         }
+    }
+
+    /// How much of the log `node` has been sent.
+    fn sent_to(&self, node: NodeId) -> usize {
+        self.peer_sent.get(&node).copied().unwrap_or(0)
     }
 
     /// Receiver side of a group commit: the batch is applied atomically
@@ -2042,27 +2069,7 @@ impl StoreReplica {
             // Lazy or pull: the LazyPush timer / peer demands move data.
             return;
         }
-        let peers: Vec<PeerStore> = self
-            .peers
-            .iter()
-            .copied()
-            .filter(|p| self.policy.in_scope(p.class))
-            .collect();
-        let log_len = self.log.len();
-        let mut sent_to = 0usize;
-        for peer in peers {
-            let sent = self.peer_sent.get(&peer.node).copied().unwrap_or(0);
-            if sent >= log_len {
-                continue;
-            }
-            let msg = self.transfer_msg(self.log.suffix_from(sent));
-            self.comm.send(ctx, peer.node, &msg);
-            self.peer_sent.insert(peer.node, log_len);
-            sent_to += 1;
-        }
-        if sent_to > 0 {
-            self.trace_event(ctx, ProtocolEvent::FanoutSent { peers: sent_to });
-        }
+        self.fan_out(Self::transfer_msg, ctx);
     }
 
     /// Builds the propagation message for a run of pending writes, per
@@ -2125,7 +2132,7 @@ impl StoreReplica {
         let log_len = self.log.len();
         let peers: Vec<PeerStore> = self.peers.clone();
         for peer in peers {
-            let sent = self.peer_sent.get(&peer.node).copied().unwrap_or(0);
+            let sent = self.sent_to(peer.node);
             let in_scope = self.policy.in_scope(peer.class);
             let nothing_new =
                 sent >= log_len || (in_scope && self.policy.instant == TransferInstant::Immediate);

@@ -5,6 +5,7 @@
 //! the same lanes, and the live policy switch that the TCP backend still
 //! refuses after `start()`.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::thread::ThreadId;
 use std::time::{Duration, Instant};
@@ -12,10 +13,12 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use globe_coherence::{check, ObjectModel, PageKey, StoreClass};
 use globe_core::{
-    registers, BindOptions, ClientHandle, EnginePort, GlobeRuntime, GlobeShard, InvocationMessage,
-    LifecycleEventKind, MethodId, MethodKind, ObjectSpec, RegisterDoc, ReplicationPolicy,
-    RuntimeConfig, Semantics, SemanticsError, TraceChecker,
+    registers, BindOptions, ClientHandle, EnginePort, GlobeRuntime, GlobeShard, GlobeSim,
+    InvocationMessage, KindCount, LifecycleEventKind, MethodId, MethodKind, ObjectSpec,
+    OutdateReaction, ProtocolEvent, RegisterDoc, ReplicationPolicy, RuntimeConfig, Semantics,
+    SemanticsError, TraceChecker,
 };
+use globe_net::{NodeId, Topology};
 use parking_lot::Mutex;
 
 /// A fan-out across every shard lane: one object per slot, all writes
@@ -462,5 +465,117 @@ fn writers_and_timers_share_lanes_without_deadlock() {
         .count();
     assert_eq!(suspected, 0, "a live node was suspected");
     drop(metrics);
+    rt.shutdown();
+}
+
+/// Home + 3 mirrors under immediate FIFO: eight writes at the home, then
+/// one read at each mirror. Returns the traffic the runtime accounted.
+fn fanout_traffic<R: GlobeRuntime>(
+    rt: &mut R,
+    home: NodeId,
+    mirrors: &[NodeId],
+) -> Result<BTreeMap<&'static str, KindCount>, Box<dyn std::error::Error>> {
+    let policy = ReplicationPolicy::builder(ObjectModel::Fifo)
+        .immediate()
+        .build()?;
+    let mut spec = ObjectSpec::new("/traffic/page")
+        .policy(policy)
+        .semantics(RegisterDoc::new)
+        .store(home, StoreClass::Permanent);
+    for &mirror in mirrors {
+        spec = spec.store(mirror, StoreClass::ObjectInitiated);
+    }
+    let object = spec.create(rt)?;
+    let writer = rt.bind(object, home, BindOptions::new())?;
+    let mut readers = Vec::new();
+    for &mirror in mirrors {
+        readers.push(rt.bind(object, mirror, BindOptions::new().read_node(mirror))?);
+    }
+    rt.start(&[]);
+    for i in 0..8 {
+        rt.handle(writer)
+            .write(registers::put("page", format!("v{i}").as_bytes()))?;
+    }
+    rt.settle(Duration::from_millis(50));
+    for reader in readers {
+        let page = rt.handle(reader).read(registers::get("page"))?;
+        assert_eq!(&page[..], b"v7");
+    }
+    let traffic = rt.metrics().lock().traffic.clone();
+    rt.shutdown();
+    Ok(traffic)
+}
+
+/// The shard never encodes a frame, yet accounts the bytes the wire
+/// would carry: the same scenario gives the same traffic, kind by kind,
+/// on the simulator, which encodes every frame.
+#[test]
+fn shard_traffic_matches_the_simulator_frame_for_frame() {
+    let mut sim = GlobeSim::with_config(Topology::lan(), RuntimeConfig::new().seed(5));
+    let nodes: Vec<_> = (0..4).map(|_| sim.add_node()).collect();
+    let on_sim = fanout_traffic(&mut sim, nodes[0], &nodes[1..]).expect("sim run");
+
+    let mut shard = GlobeShard::with_shards(2, RuntimeConfig::new().seed(5));
+    let nodes: Vec<_> = (0..4).map(|_| shard.add_node().expect("node")).collect();
+    let on_shard = fanout_traffic(&mut shard, nodes[0], &nodes[1..]).expect("shard run");
+
+    assert_eq!(on_shard["Update"].count, 8 * 3, "every write fanned out");
+    assert_eq!(on_shard, on_sim);
+}
+
+/// Frames on the shard are values, and the value path drops a frame
+/// for an isolated node just as the byte path does: a partitioned
+/// mirror applies nothing the home fans out. Healed, it notices the gap
+/// at the next write, demands what it missed and catches up.
+#[test]
+fn a_partitioned_mirror_applies_nothing_until_healed() {
+    let mut rt = GlobeShard::with_shards(2, RuntimeConfig::new().trace_capacity(1024));
+    let home = rt.add_node().expect("home node");
+    let mirror = rt.add_node().expect("mirror node");
+    let policy = ReplicationPolicy::builder(ObjectModel::Pram)
+        .immediate()
+        .object_outdate(OutdateReaction::Demand)
+        .build()
+        .expect("valid policy");
+    let object = ObjectSpec::new("/partition/page")
+        .policy(policy)
+        .semantics(RegisterDoc::new)
+        .store(home, StoreClass::Permanent)
+        .store(mirror, StoreClass::ObjectInitiated)
+        .create(&mut rt)
+        .expect("create object");
+    let writer = rt.bind(object, home, BindOptions::new()).expect("bind");
+    let reader = rt
+        .bind(object, mirror, BindOptions::new().read_node(mirror))
+        .expect("bind reader");
+    rt.start(&[]);
+    let applied_at_mirror = |rt: &GlobeShard| {
+        rt.trace()
+            .events
+            .iter()
+            .filter(|e| e.node == mirror && matches!(e.event, ProtocolEvent::WriteApplied { .. }))
+            .count()
+    };
+
+    rt.partition_node(mirror, true).expect("partition");
+    rt.handle(writer)
+        .write(registers::put("page", b"v1"))
+        .expect("write while partitioned");
+    assert_eq!(applied_at_mirror(&rt), 0, "the mirror heard nothing");
+
+    rt.partition_node(mirror, false).expect("heal");
+    rt.handle(writer)
+        .write(registers::put("page", b"v2"))
+        .expect("write after healing");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while applied_at_mirror(&rt) < 2 && Instant::now() < deadline {
+        rt.settle(Duration::from_millis(10));
+    }
+    assert_eq!(applied_at_mirror(&rt), 2, "the mirror caught up");
+    let page = rt
+        .handle(reader)
+        .read(registers::get("page"))
+        .expect("read at the mirror");
+    assert_eq!(&page[..], b"v2");
     rt.shutdown();
 }

@@ -441,6 +441,63 @@ fn forwarded_read_follows_the_sequencer_to_its_successor() {
     );
 }
 
+/// A lease grant stamped with an epoch older than the sequencer the
+/// replica follows — a deposed home's grant arriving late — grants
+/// nothing: the next read is forwarded as one with no lease held. A
+/// grant at the current epoch lets the replica serve locally.
+#[test]
+fn lease_grant_from_an_older_epoch_is_ignored() {
+    let policy = ReplicationPolicy::builder(ObjectModel::Fifo)
+        .immediate()
+        .build()
+        .unwrap();
+    let tuning = globe_core::StoreTuning {
+        read_leases: true,
+        ..globe_core::StoreTuning::default()
+    };
+    let mut r = rig_tuned(policy, false, tuning);
+    let home_log = capture(&mut r.net, r.home_node);
+    let home = r.home_node;
+    announce_takeover(&mut r, home, 0, 2);
+    let grant_then_read = |r: &mut Rig, epoch: u64, req: u64| {
+        let (store, client_node) = (&mut r.store, r.client_node);
+        r.net.with_ctx(r.peer_node, |ctx| {
+            store.handle_lease_grant(
+                home,
+                epoch,
+                VersionVector::new(),
+                Duration::from_secs(60),
+                ctx,
+            );
+            store.serve_read(
+                client_node,
+                RequestId::new(req),
+                ClientId::new(5),
+                registers::get("page"),
+                VersionVector::new(),
+                ctx,
+            );
+        });
+        r.net.run_until_quiescent();
+        home_log.borrow().iter().any(|(_, m)| {
+            matches!(m, CoherenceMsg::ReadReq { req: got, .. } if *got == RequestId::new(req))
+        })
+    };
+
+    assert!(grant_then_read(&mut r, 1, 1), "a stale grant: forwarded");
+    assert!(r.client_log.borrow().is_empty());
+    let counters = r.metrics.lock().protocol;
+    assert_eq!(
+        (counters.lease_forwarded, counters.lease_refused),
+        (1, 0),
+        "forwarded as a read with no lease, not one with a lapsed lease"
+    );
+
+    assert!(!grant_then_read(&mut r, 2, 2), "a current grant: served");
+    assert_eq!(r.client_log.borrow().len(), 1);
+    assert_eq!(r.metrics.lock().protocol.lease_served, 1);
+}
+
 /// A takeover announced from an epoch older than the one the replica
 /// follows is stale — a deposed home's claim arriving late — and moves
 /// nothing, even from a store that would win a same-epoch tie-break.

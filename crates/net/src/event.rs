@@ -1,5 +1,6 @@
 //! Events delivered to node handlers, and the handler-side context trait.
 
+use std::any::Any;
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -49,6 +50,20 @@ pub trait NetCtx {
     /// Sends `payload` to `to`. Delivery is asynchronous and may fail
     /// silently (loss, partition), exactly like a datagram.
     fn send(&mut self, to: NodeId, payload: Bytes);
+
+    /// Offers a frame as a value, for a transport that never leaves the
+    /// process. `value` is an `Option` of the frame type the transport
+    /// expects: such a transport takes the frame out of it and returns
+    /// `true`, and delivers the receiver exactly that value. A value of
+    /// any other type it drops (and counts, as it would a corrupt
+    /// frame), and still returns `true`.
+    ///
+    /// The default is a byte transport: it takes nothing and returns
+    /// `false`, and the caller sends the frame's encoding with
+    /// [`NetCtx::send`] instead.
+    fn send_value(&mut self, _to: NodeId, _value: &mut dyn Any) -> bool {
+        false
+    }
 
     /// Arms a one-shot timer that will deliver [`Event::Timer`] with
     /// `token` after `delay`.
