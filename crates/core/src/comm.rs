@@ -176,6 +176,7 @@ mod tests {
         }
         net.with_ctx(a, |ctx| comm.send(ctx, b, &msg));
         net.run_until_quiescent();
+        assert_eq!(received.borrow().len(), 1, "the unicast is delivered");
         received.borrow_mut().clear();
         net.with_ctx(a, |ctx| comm.multicast(ctx, [b, c], &msg));
         net.run_until_quiescent();

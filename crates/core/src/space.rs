@@ -13,6 +13,7 @@
 //! [`NODE_SCOPE_BASE`]) so they are routed to the space — never to any
 //! one object's control object.
 
+use std::any::Any;
 use std::collections::{BTreeSet, HashMap};
 use std::time::Duration;
 
@@ -56,6 +57,11 @@ impl NetCtx for MutedCtx<'_> {
     }
     fn send(&mut self, _to: NodeId, _payload: Bytes) {
         // Isolated: the frame never reaches the wire.
+    }
+    fn send_value(&mut self, _to: NodeId, _value: &mut dyn Any) -> bool {
+        // Takes the frame and drops it, so no transport encodes a frame
+        // only to throw it away.
+        true
     }
     fn set_timer(&mut self, delay: Duration, token: TimerToken) -> TimerId {
         self.inner.set_timer(delay, token)
